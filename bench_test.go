@@ -50,11 +50,11 @@ func benchFigure(b *testing.B, chainName sim.ChainName, users int) {
 	b.Helper()
 	var res *sim.Result
 	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(chainName, users, uint64(0x5eed+i))
+		r, err := sim.Execute(sim.Spec{Chain: chainName, Users: users, Seed: uint64(0x5eed + i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res = r
+		res = r.Result
 	}
 	b.ReportMetric(res.DeploySummary.Mean, "deploy_mean_s")
 	b.ReportMetric(res.DeploySummary.StdDev, "deploy_std_s")
@@ -101,11 +101,11 @@ func benchTable(b *testing.B, op string, users int) {
 	results := make(map[sim.ChainName]*sim.Result)
 	for i := 0; i < b.N; i++ {
 		for _, c := range sim.AllChains {
-			r, err := sim.Run(c, users, uint64(0xab1e+i))
+			r, err := sim.Execute(sim.Spec{Chain: c, Users: users, Seed: uint64(0xab1e + i)})
 			if err != nil {
 				b.Fatal(err)
 			}
-			results[c] = r
+			results[c] = r.Result
 		}
 	}
 	t := sim.BuildTable(op, users, results)
@@ -344,7 +344,7 @@ func BenchmarkAblation_CentralizedVsDecentralized(b *testing.B) {
 	b.Run("agnopol-decentralized", func(b *testing.B) {
 		var mean float64
 		for i := 0; i < b.N; i++ {
-			r, err := sim.Run(sim.ChainAlgorand, 8, uint64(77+i))
+			r, err := sim.Execute(sim.Spec{Chain: sim.ChainAlgorand, Users: 8, Seed: uint64(77 + i)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -425,7 +425,7 @@ func BenchmarkAblation_UserScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
 			var attach float64
 			for i := 0; i < b.N; i++ {
-				r, err := sim.Run(sim.ChainAlgorand, users, uint64(60+i))
+				r, err := sim.Execute(sim.Spec{Chain: sim.ChainAlgorand, Users: users, Seed: uint64(60 + i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -445,7 +445,7 @@ func BenchmarkAblation_VerifyOperation(b *testing.B) {
 			var r *sim.VerifyResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				r, err = sim.RunWithVerify(c, 8, uint64(70+i))
+				r, err = sim.Execute(sim.Spec{Chain: c, Users: 8, Seed: uint64(70 + i), Verify: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -100,6 +100,16 @@ func (tx *Tx) Verify() error {
 // Group is an atomic transaction group.
 type Group []*Tx
 
+// verify checks every member's signature.
+func (g Group) verify() error {
+	for _, tx := range g {
+		if err := tx.Verify(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Hash identifies the group.
 func (g Group) Hash() chain.Hash32 {
 	var buf []byte
@@ -150,10 +160,9 @@ type Chain struct {
 	receipts map[chain.Hash32]*chain.Receipt
 	feeSink  chain.Address
 
-	// rcptAcc / rcptCount accumulate every included receipt in round
-	// order; Digest folds them in so pruned receipts still count.
-	rcptAcc   chain.Hash32
-	rcptCount uint64
+	// rcpts folds every included receipt in round order; Digest includes
+	// it so pruned receipts still count.
+	rcpts chain.ReceiptAcc
 	// retention bounds how many certified rounds (and their receipts)
 	// stay resident; <=0 keeps everything.
 	retention int
@@ -165,10 +174,8 @@ type Chain struct {
 	// fault injection is off.
 	flt *faults.Injector
 
-	// shards is the execution fan-out Step may use; <=1 means serial.
-	// shardStats tallies per-shard work once SetShards configures it.
-	shards     int
-	shardStats *chain.ShardStats
+	// Sharding is the execution fan-out Step may use and its tallies.
+	chain.Sharding
 
 	// clientRng is the pre-forked stream clients draw their simulated
 	// RPC/indexer latencies from; see newChain for why it is not forked
@@ -284,10 +291,8 @@ func (c *Chain) App(appID uint64) (*App, bool) {
 
 // Submit queues a signed group for the next round.
 func (c *Chain) Submit(g Group) (chain.Hash32, error) {
-	for _, tx := range g {
-		if err := tx.Verify(); err != nil {
-			return chain.Hash32{}, err
-		}
+	if err := g.verify(); err != nil {
+		return chain.Hash32{}, err
 	}
 	return c.submitVerified(g)
 }
@@ -392,10 +397,9 @@ func (c *Chain) Step() *Block {
 		rcpt := receipts[i]
 		rcpt.Submitted = p.submitted
 		c.receipts[p.group.Hash()] = rcpt
-		c.foldReceipt(p.group.Hash(), rcpt)
+		c.rcpts.Fold(p.group.Hash(), rcpt, (*bigInt).Bytes)
 		blk.Groups = append(blk.Groups, p.group.Hash())
-		// Deferred globals from the sharded executor; zero on the serial
-		// path, which applies them inline.
+		// Deferred globals from executeGroup, applied in round order.
 		c.led.credit(c.feeSink, effects[i].feeSink)
 		if c.obs != nil && effects[i].fees > 0 {
 			c.obs.fees.Add(effects[i].fees)
@@ -481,38 +485,43 @@ func hashGroups(hs []chain.Hash32) []byte {
 	return sum[:]
 }
 
-// executeGroup applies one atomic group. On any failure the whole group is
-// rolled back; fees are charged regardless (the network did the work).
-func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
+// executeGroup applies one atomic group on top of parent — the canonical
+// ledger on the serial path, a shard's overlay on the sharded one. The
+// group runs on an overlay forked over parent, so on any failure the
+// whole group rolls back by discarding it; fees are then charged from a
+// fresh fork where the pre-group balance allows (the network did the
+// work). A rolled-back creation also rewinds the app/asset sequence
+// counters and prunes the ledger caches, so the next creation reuses the
+// ID. The fee-sink credit and fee counter are returned as effects for
+// Step's canonical merge. Creation and asset groups only reach here in
+// serial rounds (see applyRound).
+func (c *Chain) executeGroup(parent ledgerView, g Group, blk *Block) (*chain.Receipt, groupEffects) {
 	rcpt := &chain.Receipt{
 		TxHash:      g.Hash(),
 		BlockNumber: blk.Round,
 		Included:    blk.Time,
 	}
-	snap := c.led.snapshot()
+	var eff groupEffects
 
 	totalFee := uint64(0)
 	for _, tx := range g {
 		totalFee += tx.Fee
 	}
 
+	o := parent.fork()
+
 	// Fees first; insufficient fee balance fails the group outright.
 	for _, tx := range g {
-		bal := c.led.Balance(tx.Sender)
+		bal := o.Balance(tx.Sender)
 		if bal < tx.Fee {
-			c.led.restore(snap)
 			rcpt.Reverted = true
 			rcpt.RevertMsg = "insufficient balance for fee"
 			rcpt.Fee = chain.NewAmount(microToBig(0), c.cfg.Unit)
-			return rcpt
+			return rcpt, eff
 		}
-		c.led.setBalance(tx.Sender, bal-tx.Fee)
-		c.led.credit(c.feeSink, tx.Fee)
+		o.setBalance(tx.Sender, bal-tx.Fee)
 	}
-
-	if c.obs != nil {
-		c.obs.fees.Add(totalFee)
-	}
+	eff.fees = totalFee
 
 	// The group's payment (if any) feeds `gtxn 0 Amount`.
 	payAmount := uint64(0)
@@ -522,11 +531,12 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 		prof = c.obs.prof
 	}
 
+	appSeq, assetSeq := c.led.appSeq, c.led.assetSeq
 	err := func() error {
 		for _, tx := range g {
 			switch tx.Type {
 			case TxPay:
-				if err := c.led.Pay(tx.Sender, tx.Receiver, tx.Amount); err != nil {
+				if err := o.Pay(tx.Sender, tx.Receiver, tx.Amount); err != nil {
 					return err
 				}
 				payAmount = tx.Amount
@@ -535,8 +545,8 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 				if err != nil {
 					return fmt.Errorf("algorand: approval program: %w", err)
 				}
-				id := c.led.createApp(tx.Sender, tx.Source, prog, blk.Round)
-				res := avm.Execute(prog, c.led, avm.TxContext{
+				id := o.createApp(tx.Sender, tx.Source, prog, blk.Round)
+				res := avm.Execute(prog, o, avm.TxContext{
 					Sender: tx.Sender, AppID: id, CreateMode: true,
 					Args: tx.Args, PayAmount: payAmount, Fee: tx.Fee,
 					BudgetTxns: len(g), Profiler: prof,
@@ -548,26 +558,26 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 				}
 				rcpt.ReturnValue = appIDBytes(id)
 			case TxAssetCreate:
-				a := c.led.assetCreate(tx.Sender, tx.AssetName, tx.AssetUnit, tx.Amount, tx.AssetDecimals, blk.Round)
+				a := o.assetCreate(tx.Sender, tx.AssetName, tx.AssetUnit, tx.Amount, tx.AssetDecimals, blk.Round)
 				rcpt.ReturnValue = avm.Itob(a.ID)
 			case TxAssetOptIn:
-				if !c.led.assetExists(tx.AssetID) {
+				if !o.assetExists(tx.AssetID) {
 					return fmt.Errorf("%w: %d", ErrAssetNotFound, tx.AssetID)
 				}
-				if c.led.assetOptedIn(tx.Sender, tx.AssetID) {
+				if o.assetOptedIn(tx.Sender, tx.AssetID) {
 					return fmt.Errorf("%w: %s / asset %d", ErrAlreadyOptedIn, tx.Sender, tx.AssetID)
 				}
-				c.led.assetOptIn(tx.Sender, tx.AssetID)
+				o.assetOptIn(tx.Sender, tx.AssetID)
 			case TxAssetTransfer:
-				if err := c.led.assetTransfer(tx.AssetID, tx.Sender, tx.Receiver, tx.Amount); err != nil {
+				if err := o.assetTransfer(tx.AssetID, tx.Sender, tx.Receiver, tx.Amount); err != nil {
 					return err
 				}
 			case TxAppCall:
-				app := c.led.app(tx.AppID)
+				app := o.app(tx.AppID)
 				if app == nil {
 					return fmt.Errorf("algorand: no application %d", tx.AppID)
 				}
-				res := avm.Execute(app.Program, c.led, avm.TxContext{
+				res := avm.Execute(app.Program, o, avm.TxContext{
 					Sender: tx.Sender, AppID: tx.AppID,
 					Args: tx.Args, OnCompletion: tx.OnCompletion,
 					PayAmount: payAmount, Fee: tx.Fee,
@@ -587,23 +597,32 @@ func (c *Chain) executeGroup(g Group, blk *Block) *chain.Receipt {
 	}()
 
 	if err != nil {
-		// Roll back everything except the fees.
+		// Discard the group's overlay and any creations it made —
+		// everything except the fees rolls back — then re-charge fees
+		// where the pre-group balance allows. Shard workers never create,
+		// so the sequence check keeps them read-only on the ledger.
+		if c.led.appSeq != appSeq || c.led.assetSeq != assetSeq {
+			c.led.rollbackCreations(appSeq, assetSeq)
+		}
 		fees := make(map[chain.Address]uint64)
 		for _, tx := range g {
 			fees[tx.Sender] += tx.Fee
 		}
-		c.led.restore(snap)
+		o = parent.fork()
 		for addr, fee := range fees {
-			if bal := c.led.Balance(addr); bal >= fee {
-				c.led.setBalance(addr, bal-fee)
-				c.led.credit(c.feeSink, fee)
+			if bal := o.Balance(addr); bal >= fee {
+				o.setBalance(addr, bal-fee)
+				eff.feeSink += fee
 			}
 		}
 		rcpt.Reverted = true
 		rcpt.RevertMsg = err.Error()
+	} else {
+		eff.feeSink = totalFee
 	}
+	parent.adopt(o)
 	rcpt.Fee = chain.NewAmount(microToBig(totalFee), c.cfg.Unit)
-	return rcpt
+	return rcpt, eff
 }
 
 func errOf(res avm.Result) error {

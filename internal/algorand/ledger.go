@@ -387,26 +387,30 @@ var _ avm.Ledger = (*ledger)(nil)
 // root is the Merkle root of the ledger state.
 func (l *ledger) root() chain.Hash32 { return chain.Hash32(l.t.Root()) }
 
-// createApp registers a new application and returns its ID.
-func (l *ledger) createApp(creator chain.Address, source string, prog *avm.Program, round uint64) uint64 {
+// createApp registers a new application and returns its ID. Creations
+// run only in serial rounds, so the sequence counter and program cache
+// on the canonical ledger are never written concurrently.
+func (v *ledgerKV) createApp(creator chain.Address, source string, prog *avm.Program, round uint64) uint64 {
+	l := v.led
 	l.appSeq++
 	a := &App{ID: l.appSeq, Creator: creator, Program: prog, Source: source, CreateAt: round}
-	l.kv.Put(appMetaKey(a.ID), encodeAppMeta(a))
+	v.kv.Put(appMetaKey(a.ID), encodeAppMeta(a))
 	l.progs[a.ID] = a
 	return a.ID
 }
 
 // assetCreate mints a new asset; the creator holds the entire supply and
 // is implicitly opted in.
-func (l *ledger) assetCreate(creator chain.Address, name, unit string, total uint64, decimals uint32, round uint64) *Asset {
+func (v *ledgerKV) assetCreate(creator chain.Address, name, unit string, total uint64, decimals uint32, round uint64) *Asset {
+	l := v.led
 	l.assetSeq++
 	a := &Asset{
 		ID: l.assetSeq, Creator: creator, Name: name, UnitName: unit,
 		Total: total, Decimals: decimals, CreateAt: round,
 	}
-	l.kv.Put(assetMetaKey(a.ID), encodeAssetMeta(a))
+	v.kv.Put(assetMetaKey(a.ID), encodeAssetMeta(a))
 	l.assets[a.ID] = a
-	l.setHolding(creator, a.ID, total)
+	v.setHolding(creator, a.ID, total)
 	return a
 }
 
@@ -426,19 +430,24 @@ func (l *ledger) snapshot() snapshot {
 func (l *ledger) restore(s snapshot) {
 	l.t = s.t
 	l.kv = l.t
-	// Drop cache entries for creations being rolled back; their trie
-	// entries vanish with the root swap, and a later re-creation of the
-	// same ID may carry different source.
+	l.rollbackCreations(s.appSeq, s.assetSeq)
+}
+
+// rollbackCreations rewinds the sequence counters and drops cache entries
+// for creations being rolled back: their trie entries are already gone
+// (root swap or discarded overlay), and a later re-creation of the same
+// ID may carry different source.
+func (l *ledger) rollbackCreations(appSeq, assetSeq uint64) {
 	for id := range l.progs {
-		if id > s.appSeq {
+		if id > appSeq {
 			delete(l.progs, id)
 		}
 	}
 	for id := range l.assets {
-		if id > s.assetSeq {
+		if id > assetSeq {
 			delete(l.assets, id)
 		}
 	}
-	l.appSeq = s.appSeq
-	l.assetSeq = s.assetSeq
+	l.appSeq = appSeq
+	l.assetSeq = assetSeq
 }

@@ -75,8 +75,8 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		StateRoot: c.led.root(),
 		AppSeq:    c.led.appSeq,
 		AssetSeq:  c.led.assetSeq,
-		RcptAcc:   c.rcptAcc,
-		RcptCount: c.rcptCount,
+		RcptAcc:   c.rcpts.Acc,
+		RcptCount: c.rcpts.Count,
 		Clock:     c.clock.Now(),
 		Rng:       c.rng.State(),
 		Retention: c.retention,
@@ -143,8 +143,8 @@ func (c *Chain) restore(ck *Checkpoint) error {
 	c.led.assetSeq = ck.AssetSeq
 	c.led.round = ck.HeadRound
 	c.led.time = uint64(ck.HeadTime / time.Second)
-	c.rcptAcc = ck.RcptAcc
-	c.rcptCount = ck.RcptCount
+	c.rcpts.Acc = ck.RcptAcc
+	c.rcpts.Count = ck.RcptCount
 	c.clock.AdvanceTo(ck.Clock)
 	c.rng.SetState(ck.Rng)
 	c.retention = ck.Retention

@@ -307,3 +307,56 @@ func TestRejectedCallInShardedRoundChargesFees(t *testing.T) {
 		t.Fatal("revert handling diverges between serial and sharded paths")
 	}
 }
+
+func TestFailedCreationRollsBackAppIDInRound(t *testing.T) {
+	// One round: a creation whose approval program rejects in create
+	// mode, then a successful creation with different source. The failed
+	// creation's ID and program-cache entry roll back, so the second
+	// creation reuses the ID, while the first creation's fee is still
+	// charged — identically at every shard count.
+	const rejectAll = "int 0\nreturn"
+	run := func(shards int) *Chain {
+		c := NewChain(Testnet(), 11)
+		c.SetShards(shards)
+		alice := c.NewAccount(10_000_000)
+		bob := c.NewAccount(10_000_000)
+		bad := &Tx{Type: TxAppCreate, Sender: alice.Address, Fee: MinFee, Source: rejectAll}
+		bad.Sign(alice)
+		good := &Tx{Type: TxAppCreate, Sender: bob.Address, Fee: MinFee, Source: counterApp}
+		good.Sign(bob)
+		hashes, errs := c.SubmitBatch([]Group{{bad}, {good}})
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Step()
+		badRcpt, ok := c.Receipt(hashes[0])
+		if !ok || !badRcpt.Reverted {
+			t.Fatalf("rejecting creation must revert (receipt %+v)", badRcpt)
+		}
+		goodRcpt, ok := c.Receipt(hashes[1])
+		if !ok || goodRcpt.Reverted {
+			t.Fatalf("second creation must succeed (receipt %+v)", goodRcpt)
+		}
+		id, err := avm.Btoi(goodRcpt.ReturnValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 1 {
+			t.Fatalf("second creation got app %d, want the rolled-back ID 1", id)
+		}
+		app, ok := c.App(id)
+		if !ok || app.Source != counterApp {
+			t.Fatal("app 1 must carry the second creation's program")
+		}
+		if got := c.Balance(alice.Address).Base.Uint64(); got != 10_000_000-MinFee {
+			t.Fatalf("failed creator balance %d, want the fee charged", got)
+		}
+		return c
+	}
+	serial, sharded := run(1), run(4)
+	if serial.Digest() != sharded.Digest() {
+		t.Fatal("failed-creation rollback diverges between shard counts")
+	}
+}

@@ -35,23 +35,12 @@ type Connector interface {
 	Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*Handle, *OpResult, error)
 	// Invoke calls an API under the given options: payment, escrow
 	// funding and the resilience policy all travel in CallOpts. This is
-	// the one call entry point; Call and CallWithEscrowFunding are its
-	// deprecated fixed-option forms.
+	// the one call entry point.
 	Invoke(acct *Account, h *Handle, api string, opts CallOpts, args ...lang.Value) (lang.Value, *OpResult, error)
-	// Call invokes an API; pay is the attached native amount in base
-	// units.
-	//
-	// Deprecated: use Invoke with CallOpts{Pay: pay}.
-	Call(acct *Account, h *Handle, api string, pay uint64, args ...lang.Value) (lang.Value, *OpResult, error)
 	// EscrowFunding is the amount the first call after deployment must
 	// carry to activate the contract's account (Algorand's MinBalance;
 	// zero on EVM chains).
 	EscrowFunding() uint64
-	// CallWithEscrowFunding is Call with an escrow-funding payment folded
-	// into the same atomic operation.
-	//
-	// Deprecated: use Invoke with CallOpts{Pay: pay, EscrowFund: true}.
-	CallWithEscrowFunding(acct *Account, h *Handle, api string, pay uint64, args ...lang.Value) (lang.Value, *OpResult, error)
 	// SetResilience installs the default retry policy Invoke and Deploy
 	// apply when CallOpts carries none. The zero policy (the initial
 	// state) means a single attempt — the historical behaviour.
@@ -345,20 +334,6 @@ type analysisCost struct{ gas uint64 }
 // deposit.
 func (e *EVMConnector) EscrowFunding() uint64 { return 0 }
 
-// Call implements Connector.
-//
-// Deprecated: use Invoke with CallOpts{Pay: pay}.
-func (e *EVMConnector) Call(acct *Account, h *Handle, api string, pay uint64, args ...lang.Value) (lang.Value, *OpResult, error) {
-	return e.Invoke(acct, h, api, CallOpts{Pay: pay}, args...)
-}
-
-// CallWithEscrowFunding implements Connector; identical to Call on EVM.
-//
-// Deprecated: use Invoke with CallOpts{Pay: pay, EscrowFund: true}.
-func (e *EVMConnector) CallWithEscrowFunding(acct *Account, h *Handle, api string, pay uint64, args ...lang.Value) (lang.Value, *OpResult, error) {
-	return e.Invoke(acct, h, api, CallOpts{Pay: pay, EscrowFund: true}, args...)
-}
-
 // View implements Connector.
 func (e *EVMConnector) View(h *Handle, name string) (lang.Value, error) {
 	v, ok := h.Compiled.Program.FindView(name)
@@ -460,8 +435,8 @@ func (a *AlgorandConnector) Balance(acct *Account) chain.Amount {
 
 // Deploy implements Connector: the application-creation transaction. The
 // escrow account still needs its MinBalance deposit before it can hold
-// funds; that payment rides the creator's first call
-// (CallWithEscrowFunding) — the extra deployment traffic the paper
+// funds; that payment rides the creator's first call (Invoke with
+// CallOpts.EscrowFund) — the extra deployment traffic the paper
 // attributes to "the design of the network" (§5.1.5).
 func (a *AlgorandConnector) Deploy(acct *Account, compiled *lang.Compiled, args []lang.Value) (*Handle, *OpResult, error) {
 	start := a.Now()
@@ -511,21 +486,6 @@ func (a *AlgorandConnector) Invoke(acct *Account, h *Handle, api string, opts Ca
 		res.Retries = retries
 	}
 	return v, res, err
-}
-
-// CallWithEscrowFunding implements Connector: the API call grouped with the
-// MinBalance funding payment in one atomic operation.
-//
-// Deprecated: use Invoke with CallOpts{Pay: pay, EscrowFund: true}.
-func (a *AlgorandConnector) CallWithEscrowFunding(acct *Account, h *Handle, api string, pay uint64, args ...lang.Value) (lang.Value, *OpResult, error) {
-	return a.Invoke(acct, h, api, CallOpts{Pay: pay, EscrowFund: true}, args...)
-}
-
-// Call implements Connector.
-//
-// Deprecated: use Invoke with CallOpts{Pay: pay}.
-func (a *AlgorandConnector) Call(acct *Account, h *Handle, api string, pay uint64, args ...lang.Value) (lang.Value, *OpResult, error) {
-	return a.Invoke(acct, h, api, CallOpts{Pay: pay}, args...)
 }
 
 // callOnce is one attempt of an API call.

@@ -56,17 +56,17 @@ func TestConnectorEquivalence(t *testing.T) {
 		}
 
 		// Creator inserts (with escrow funding where the chain needs it).
-		v, _, err := conn.CallWithEscrowFunding(alice, h, "insert_data", 0,
+		v, _, err := conn.Invoke(alice, h, "insert_data", CallOpts{EscrowFund: true},
 			lang.BytesValue([]byte("data-alice")), lang.Uint64Value(111))
 		record("creator insert", v, err)
 
 		// Attacher inserts.
-		v, _, err = conn.Call(bob, h, "insert_data", 0,
+		v, _, err = conn.Invoke(bob, h, "insert_data", CallOpts{},
 			lang.BytesValue([]byte("data-bob")), lang.Uint64Value(222))
 		record("attach", v, err)
 
 		// Duplicate DID rejected.
-		v, _, err = conn.Call(bob, h, "insert_data", 0,
+		v, _, err = conn.Invoke(bob, h, "insert_data", CallOpts{},
 			lang.BytesValue([]byte("dup")), lang.Uint64Value(222))
 		record("duplicate attach", v, err)
 
@@ -91,7 +91,7 @@ func TestConnectorEquivalence(t *testing.T) {
 		// Verify without funds: accepted on-chain but no reward branch.
 		// The API returns the wallet address — account keys differ per
 		// chain, so record whether it equals bob's address instead.
-		v, _, err = conn.Call(verifier, h, "verify", 0,
+		v, _, err = conn.Invoke(verifier, h, "verify", CallOpts{},
 			lang.Uint64Value(222), lang.AddressValue(bob.Address()))
 		out = append(out, obs{kind: "verify unfunded returns wallet",
 			value: boolStr(err == nil && v.Addr == bob.Address()), fail: err != nil})
@@ -102,12 +102,12 @@ func TestConnectorEquivalence(t *testing.T) {
 		out = append(out, obs{kind: "map bob after unfunded verify", value: boolStr(ok)})
 
 		// Fund, then verify for real.
-		v, _, err = conn.Call(verifier, h, "insert_money", 2*reward, lang.Uint64Value(2*reward))
+		v, _, err = conn.Invoke(verifier, h, "insert_money", CallOpts{Pay: 2 * reward}, lang.Uint64Value(2*reward))
 		record("fund", v, err)
 		out = append(out, obs{kind: "contract balance", value: uintStr(conn.ContractBalance(h))})
 
 		bobBefore := conn.Balance(bob).Base.Uint64()
-		v, _, err = conn.Call(verifier, h, "verify", 0,
+		v, _, err = conn.Invoke(verifier, h, "verify", CallOpts{},
 			lang.Uint64Value(222), lang.AddressValue(bob.Address()))
 		out = append(out, obs{kind: "verify funded returns wallet",
 			value: boolStr(err == nil && v.Addr == bob.Address()), fail: err != nil})
@@ -120,9 +120,9 @@ func TestConnectorEquivalence(t *testing.T) {
 		out = append(out, obs{kind: "map bob after funded verify", value: boolStr(ok)})
 
 		// Non-creator cannot close; creator can, sweeping the rest.
-		_, _, err = conn.Call(bob, h, "close", 0)
+		_, _, err = conn.Invoke(bob, h, "close", CallOpts{})
 		out = append(out, obs{kind: "close by stranger", fail: err != nil})
-		v, _, err = conn.Call(alice, h, "close", 0)
+		v, _, err = conn.Invoke(alice, h, "close", CallOpts{})
 		record("close by creator", v, err)
 		out = append(out, obs{kind: "final balance", value: uintStr(conn.ContractBalance(h))})
 		return out
@@ -176,7 +176,7 @@ func TestConnectorRejectsUnknownAPIAndView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := conn.Call(acct, h, "nonexistent", 0); err == nil {
+		if _, _, err := conn.Invoke(acct, h, "nonexistent", CallOpts{}); err == nil {
 			t.Errorf("%s: unknown API accepted", conn.Name())
 		}
 		if _, err := conn.View(h, "nonexistent"); err == nil {
@@ -202,7 +202,7 @@ func TestAPIRejectionIsTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		// insert_money with zero amount violates the API's assume.
-		_, _, err = conn.Call(acct, h, "insert_money", 0, lang.Uint64Value(0))
+		_, _, err = conn.Invoke(acct, h, "insert_money", CallOpts{}, lang.Uint64Value(0))
 		if !errors.Is(err, ErrAPIRejected) {
 			t.Errorf("%s: err = %v, want ErrAPIRejected", conn.Name(), err)
 		}

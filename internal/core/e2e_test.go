@@ -170,7 +170,7 @@ func TestFullPipelineBothChains(t *testing.T) {
 
 			// Creator closes the (already empty) contract; a third party
 			// cannot.
-			if _, _, err := conn.Call(creatorAcct, h, "close", 0); err != nil {
+			if _, _, err := conn.Invoke(creatorAcct, h, "close", CallOpts{}); err != nil {
 				t.Fatalf("creator close: %v", err)
 			}
 		})

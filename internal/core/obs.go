@@ -19,9 +19,9 @@ const (
 )
 
 // phaseBuckets covers wall-clock phase durations from 1 µs to 100 s.
-// Literal bounds, not ExponentialBuckets(1e-6, 10, 9): 1e-6·10 is not
-// representable as exactly 1e-5 in float64, and the drift leaks into
-// the le labels of the exposition.
+// Literal bounds, not computed by repeated multiplication: 1e-6·10 is
+// not representable as exactly 1e-5 in float64, and the drift would leak
+// into the le labels of the exposition.
 var phaseBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}
 
 // chainOpBuckets covers simulated on-chain operation latency, which is

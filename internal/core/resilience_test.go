@@ -145,7 +145,7 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 // must be exactly Invoke with CallOpts{Pay}.
 func TestDeprecatedCallMatchesInvoke(t *testing.T) {
 	_, conn, acct, h := newPingWorld(t, 6)
-	vOld, _, err := conn.Call(acct, h, "ping", 0)
+	vOld, _, err := conn.Invoke(acct, h, "ping", CallOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,21 +141,15 @@ type Chain struct {
 	burned *big.Int
 	tipped *big.Int
 
-	// rcptAcc is the rolling hash of every receipt ever included, folded
-	// in canonical block order (foldReceipt); rcptCount is how many.
-	// Together with the state root they let Digest stay O(1) and let
-	// retention pruning drop old receipts without changing the digest.
-	rcptAcc   chain.Hash32
-	rcptCount uint64
+	// rcpts folds every included receipt in canonical block order.
+	rcpts chain.ReceiptAcc
 
 	// retention caps how many recent blocks keep their receipts and
 	// explorer rows; <= 0 retains everything.
 	retention int
 
-	// shards is the execution fan-out Step may use; <=1 means serial.
-	// shardStats tallies per-shard work once SetShards configures it.
-	shards     int
-	shardStats *chain.ShardStats
+	// Sharding is the execution fan-out Step may use and its tallies.
+	chain.Sharding
 
 	// clientRng is the pre-forked stream clients draw their simulated
 	// RPC/API latencies from; see newChain for why it is not forked
@@ -467,7 +461,7 @@ func (c *Chain) Step() *Block {
 		rcpt := receipts[i]
 		rcpt.Submitted = p.submitted
 		c.receipts[tx.Hash()] = rcpt
-		c.foldReceipt(tx.Hash(), rcpt)
+		c.rcpts.Fold(tx.Hash(), rcpt, encodeBalance)
 		blk.TxHashes = append(blk.TxHashes, tx.Hash())
 		userGas += rcpt.GasUsed
 		eff := effects[i]

@@ -87,8 +87,8 @@ func (c *Chain) Checkpoint() (*Checkpoint, error) {
 		Justified:       c.justified,
 		Finalized:       c.finalized,
 		SpikeBlocksLeft: c.spikeBlocksLeft,
-		RcptAcc:         c.rcptAcc,
-		RcptCount:       c.rcptCount,
+		RcptAcc:         c.rcpts.Acc,
+		RcptCount:       c.rcpts.Count,
 		Clock:           c.clock.Now(),
 		Rng:             c.rng.State(),
 		Retention:       c.retention,
@@ -155,8 +155,8 @@ func (c *Chain) restore(ck *Checkpoint) error {
 	c.justified = ck.Justified
 	c.finalized = ck.Finalized
 	c.spikeBlocksLeft = ck.SpikeBlocksLeft
-	c.rcptAcc = ck.RcptAcc
-	c.rcptCount = ck.RcptCount
+	c.rcpts.Acc = ck.RcptAcc
+	c.rcpts.Count = ck.RcptCount
 	c.clock.AdvanceTo(ck.Clock)
 	c.rng.SetState(ck.Rng)
 	c.retention = ck.Retention

@@ -1,15 +1,9 @@
 package eth
 
 import (
-	"encoding/binary"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"agnopol/internal/chain"
 	"agnopol/internal/evm"
 	"agnopol/internal/mstate"
-	"agnopol/internal/polcrypto"
 )
 
 // Sharded block application. Selected transactions are partitioned into
@@ -86,151 +80,38 @@ func (s *shardState) commit() {
 	s.ov.CommitTo(s.base.t)
 }
 
-// SetShards configures how many execution shards Step may fan out to; n <= 1
-// keeps the serial path. The setting changes scheduling only — block
-// contents are identical at every value.
-func (c *Chain) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.shards = n
-	c.shardStats = chain.NewShardStats(n)
-}
-
-// Shards returns the configured shard count.
-func (c *Chain) Shards() int {
-	if c.shards < 1 {
-		return 1
-	}
-	return c.shards
-}
-
-// ShardStats returns a copy of the per-shard execution tallies accumulated
-// since SetShards, or nil when sharding was never configured.
-func (c *Chain) ShardStats() *chain.ShardStats {
-	if c.shardStats == nil {
-		return nil
-	}
-	cp := chain.NewShardStats(len(c.shardStats.Txs))
-	copy(cp.Txs, c.shardStats.Txs)
-	copy(cp.Gas, c.shardStats.Gas)
-	cp.ParallelBatches = c.shardStats.ParallelBatches
-	return cp
-}
-
 // applyBatch executes one block's selected transactions and returns their
 // receipts plus the serialized effects (fee burn, proposer tip, explorer
-// row) the caller applies in canonical order. With more than one shard
-// configured and more than one conflict component present, components run
-// concurrently on copy-on-write overlays; otherwise everything runs
-// serially against the canonical state.
+// row) the caller applies in canonical order; chain.Execute decides
+// between the serial path on the canonical state and the sharded fan-out
+// over shardState overlays.
 func (c *Chain) applyBatch(sel []*pendingTx, blk *Block) ([]*chain.Receipt, []txEffects) {
 	receipts := make([]*chain.Receipt, len(sel))
 	effects := make([]txEffects, len(sel))
-	if len(sel) == 0 {
-		return receipts, effects
-	}
-	serial := func() {
-		var gas uint64
-		for i, p := range sel {
-			receipts[i], effects[i] = c.executeOn(c.st, p.tx, blk)
-			gas += receipts[i].GasUsed
-		}
-		c.shardStats.Record(0, uint64(len(sel)), gas)
-	}
-	if c.shards <= 1 || len(sel) < 2 {
-		serial()
-		return receipts, effects
-	}
-	comps := chain.Partition(len(sel), func(i int) []chain.ConflictKey {
-		return sel[i].tx.ConflictKeys()
+	chain.Execute(&c.Sharding, chain.Batch[execState]{
+		N:         len(sel),
+		Keys:      func(i int) []chain.ConflictKey { return sel[i].tx.ConflictKeys() },
+		Weight:    func(i int) uint64 { return sel[i].tx.GasLimit },
+		Canonical: c.st,
+		Fork: func() (execState, func()) {
+			ss := newShardState(c.st)
+			return ss, ss.commit
+		},
+		Exec: func(st execState, i int) uint64 {
+			receipts[i], effects[i] = c.executeOn(st, sel[i].tx, blk)
+			return receipts[i].GasUsed
+		},
 	})
-	if len(comps) < 2 {
-		serial()
-		return receipts, effects
-	}
-	nshards := c.shards
-	if nshards > len(comps) {
-		nshards = len(comps)
-	}
-	bins := chain.Assign(comps, nshards, func(i int) uint64 { return sel[i].tx.GasLimit })
-	overlays := make([]*shardState, nshards)
-	shardTxs := make([]uint64, nshards)
-	shardGas := make([]uint64, nshards)
-	var wg sync.WaitGroup
-	for si := 0; si < nshards; si++ {
-		overlays[si] = newShardState(c.st)
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			ss := overlays[si]
-			for _, comp := range bins[si] {
-				for _, i := range comp {
-					receipts[i], effects[i] = c.executeOn(ss, sel[i].tx, blk)
-					shardTxs[si]++
-					shardGas[si] += receipts[i].GasUsed
-				}
-			}
-		}(si)
-	}
-	wg.Wait()
-	for si, ss := range overlays {
-		ss.commit()
-		c.shardStats.Record(si, shardTxs[si], shardGas[si])
-	}
-	if c.shardStats != nil {
-		c.shardStats.ParallelBatches++
-	}
 	return receipts, effects
 }
 
 // SubmitBatch validates and queues a batch of signed transactions in one
-// call. Signature verification — the dominant per-transaction cost — runs
-// concurrently when sharding is configured; admission (fee, nonce and
-// balance checks, fault draws, mempool append) stays serial in slice order,
-// so the mempool and fault streams are identical to len(txs) Submit calls.
-// Result slot i is the hash or error for txs[i].
+// call: signatures verify concurrently when sharding is configured, and
+// admission (fee, nonce and balance checks, fault draws, mempool append)
+// stays serial in slice order (see chain.SubmitBatch). Result slot i is
+// the hash or error for txs[i].
 func (c *Chain) SubmitBatch(txs []*Tx) ([]chain.Hash32, []error) {
-	hashes := make([]chain.Hash32, len(txs))
-	errs := make([]error, len(txs))
-	verr := make([]error, len(txs))
-	workers := c.Shards()
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(txs) {
-						return
-					}
-					verr[i] = txs[i].Verify()
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, tx := range txs {
-			verr[i] = tx.Verify()
-		}
-	}
-	for i, tx := range txs {
-		if verr[i] != nil {
-			errs[i] = verr[i]
-			continue
-		}
-		hashes[i], errs[i] = c.submitVerified(tx)
-	}
-	return hashes, errs
+	return chain.SubmitBatch(&c.Sharding, txs, (*Tx).Verify, c.submitVerified)
 }
 
 // PendingCount reports the mempool depth.
@@ -238,73 +119,17 @@ func (c *Chain) PendingCount() int { return len(c.mempool) }
 
 // Digest hashes the chain's externally observable end state — head block,
 // fee accounting, the world-state Merkle root and the rolling receipt
-// accumulator — into one value. The determinism gates compare digests
-// across shard counts and GOMAXPROCS settings: equal digests mean
-// bit-identical blocks and state. The world state enters through the
-// state root (every entry is a trie leaf) and receipts are folded into
-// the accumulator at inclusion time in canonical block order, so Digest
-// is O(1) instead of a full-world sort-and-hash — which also makes it
-// independent of how much pruned history (SetRetention) is still held.
+// accumulator — into one value (see chain.ReceiptAcc.Digest). The world
+// state enters through the state root and receipts through the
+// accumulator, so Digest is O(1) and independent of how much pruned
+// history (SetRetention) is still held. Fee components carry an explicit
+// sign byte (encodeBalance) in the receipt fold, so a sign flip can never
+// digest identically.
 func (c *Chain) Digest() chain.Hash32 {
-	var buf []byte
-	put := func(b []byte) {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(b)))
-		buf = append(buf, n[:]...)
-		buf = append(buf, b...)
-	}
-	putU64 := func(v uint64) {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], v)
-		buf = append(buf, n[:]...)
-	}
 	head := c.Head()
-	put(head.Hash[:])
-	putU64(head.Number)
-	put(c.baseFee.Bytes())
-	put(c.burned.Bytes())
-	put(c.tipped.Bytes())
-	root := c.st.Root()
-	put(root[:])
-	put(c.rcptAcc[:])
-	putU64(c.rcptCount)
-	return chain.Hash32(polcrypto.Hash(buf))
-}
-
-// foldReceipt absorbs one included receipt into the rolling digest
-// accumulator. Called from Step's canonical merge loop, so the fold
-// order is block order — identical at every shard count. Fee components
-// are encoded with an explicit sign byte (encodeBalance) so a sign flip
-// can never digest identically.
-func (c *Chain) foldReceipt(h chain.Hash32, r *chain.Receipt) {
-	var buf []byte
-	put := func(b []byte) {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(b)))
-		buf = append(buf, n[:]...)
-		buf = append(buf, b...)
-	}
-	putU64 := func(v uint64) {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], v)
-		buf = append(buf, n[:]...)
-	}
-	put(c.rcptAcc[:])
-	put(h[:])
-	putU64(r.BlockNumber)
-	putU64(r.GasUsed)
-	putU64(uint64(r.Submitted))
-	putU64(uint64(r.Included))
-	if r.Reverted {
-		putU64(1)
-	} else {
-		putU64(0)
-	}
-	put([]byte(r.RevertMsg))
-	put(r.ReturnValue)
-	if r.Fee.Base != nil {
-		put(encodeBalance(r.Fee.Base))
-	}
-	c.rcptAcc = chain.Hash32(polcrypto.Hash(buf))
-	c.rcptCount++
+	return c.rcpts.Digest(head.Hash, head.Number, func(f *chain.Frame) {
+		f.Bytes(c.baseFee.Bytes())
+		f.Bytes(c.burned.Bytes())
+		f.Bytes(c.tipped.Bytes())
+	}, c.st.Root())
 }

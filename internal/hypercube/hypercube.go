@@ -50,9 +50,7 @@ type Node struct {
 	entries map[string]*Entry // keyword (OLC) -> content
 
 	// Stats.
-	lookupsServed uint64
-	storesServed  uint64
-	forwarded     uint64
+	forwarded uint64
 }
 
 // ID returns the node's integer identifier (its r-bit string).
@@ -193,7 +191,6 @@ func (h *Network) Put(via, targetID uint64, keyword string, entry *Entry) (int, 
 	}
 	node := h.nodes[targetID]
 	node.entries[keyword] = entry.Clone()
-	node.storesServed++
 	h.totalHops += uint64(len(path) - 1)
 	h.totalLookups++
 	h.finishRoute(rerouted)
@@ -216,7 +213,6 @@ func (h *Network) Get(via, targetID uint64, keyword string) (*Entry, int, bool, 
 		h.nodes[nid].forwarded++
 	}
 	node := h.nodes[targetID]
-	node.lookupsServed++
 	h.totalHops += uint64(len(path) - 1)
 	h.totalLookups++
 	h.finishRoute(rerouted)
@@ -244,7 +240,6 @@ func (h *Network) AppendCID(via, targetID uint64, keyword, contractID, cid strin
 		node.entries[keyword] = e
 	}
 	e.CIDs = append(e.CIDs, cid)
-	node.storesServed++
 	h.totalHops += uint64(len(path) - 1)
 	h.totalLookups++
 	h.finishRoute(rerouted)
@@ -275,27 +270,6 @@ func (h *Network) RangeQuery(targetID uint64, maxHops int) ([]*Entry, error) {
 		}
 	}
 	return out, nil
-}
-
-// NodeLoad is one node's serving tally — how much discovery and storage
-// traffic it terminated (forwarding excluded).
-type NodeLoad struct {
-	ID      uint64
-	Lookups uint64
-	Stores  uint64
-}
-
-// NodeLoads returns the per-node serving tallies, indexed by node ID. The
-// sharded-discovery tests use it to show that shard-affine routing spreads
-// lookup load over a neighborhood instead of concentrating it.
-func (h *Network) NodeLoads() []NodeLoad {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]NodeLoad, len(h.nodes))
-	for i, n := range h.nodes {
-		out[i] = NodeLoad{ID: n.id, Lookups: n.lookupsServed, Stores: n.storesServed}
-	}
-	return out
 }
 
 // Stats summarizes routing behaviour for the ablation benchmarks.

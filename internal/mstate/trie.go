@@ -290,26 +290,3 @@ func remove(n node, k Key, depth int) (node, bool) {
 	}
 	panic("mstate: unknown node type")
 }
-
-// Walk visits every key/value pair in unspecified order and stops early
-// if fn returns false. Values are trie-owned; do not mutate.
-func (t *Trie) Walk(fn func(Key, []byte) bool) {
-	walk(t.root, fn)
-}
-
-func walk(n node, fn func(Key, []byte) bool) bool {
-	switch cur := n.(type) {
-	case nil:
-		return true
-	case *leaf:
-		return fn(cur.key, cur.val)
-	case *branch:
-		for _, c := range cur.children {
-			if !walk(c, fn) {
-				return false
-			}
-		}
-		return true
-	}
-	panic("mstate: unknown node type")
-}

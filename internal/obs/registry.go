@@ -16,29 +16,6 @@ import (
 // the Prometheus defaults: wall-clock scale from 5 ms to 10 s.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// ExponentialBuckets returns count upper bounds starting at start, each
-// factor times the previous.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		// math.Pow instead of repeated multiplication: 1e-6·10·10 drifts
-		// to 9.999999999999999e-05 and pollutes the le labels.
-		out[i] = start * math.Pow(factor, float64(i))
-	}
-	return out
-}
-
-// LinearBuckets returns count upper bounds starting at start, spaced by
-// width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // Counter is a monotonically increasing uint64 metric. The zero value is
 // ready to use; a nil *Counter is a no-op.
 type Counter struct {

@@ -169,7 +169,7 @@ func TestUserErrorEndsSpan(t *testing.T) {
 	defer func() { userFault = nil }()
 
 	o := obs.New()
-	_, err := RunObserved(ChainAlgorand, 8, 7, o)
+	_, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 7, Obs: o})
 	if !errors.Is(err, injected) {
 		t.Fatalf("injected fault did not surface: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestUserErrorEndsSpan(t *testing.T) {
 		t.Fatalf("span after the failure parented under %d, want root", probe.ParentID)
 	}
 	probe.End()
-	if _, err := RunObserved(ChainAlgorand, 8, 7, o); err != nil {
+	if _, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 7, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	byID := make(map[uint64]*obs.Span)
@@ -229,12 +229,12 @@ func TestUserErrorEndsSpan(t *testing.T) {
 	}
 }
 
-// TestRunWithVerifyObservedInstruments checks the refactored verify
-// entry point rides the shared collection path: the PR-1 spans and
+// TestRunWithVerifyObservedInstruments checks that Execute with Verify
+// and Obs set rides the shared collection path: the PR-1 spans and
 // histograms show up, including the verification phase's.
 func TestRunWithVerifyObservedInstruments(t *testing.T) {
 	o := obs.New()
-	r, err := RunWithVerifyObserved(ChainAlgorand, 8, 7, o)
+	r, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 7, Obs: o, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +267,14 @@ func TestRunWithVerifyObservedInstruments(t *testing.T) {
 }
 
 // TestVerifyMatchesRunCollection pins the refactor: the collection phase
-// of RunWithVerify is the exact code path of Run, so their measurements
-// must be identical for the same seed.
+// of Execute with Verify is the exact code path without it, so their
+// measurements must be identical for the same seed.
 func TestVerifyMatchesRunCollection(t *testing.T) {
-	plain, err := Run(ChainAlgorand, 8, 9)
+	plain, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withVerify, err := RunWithVerify(ChainAlgorand, 8, 9)
+	withVerify, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 9, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

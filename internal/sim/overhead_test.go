@@ -14,7 +14,7 @@ var fig52 = FigureSpecs[0]
 func timeRun(tb testing.TB, o *obs.Obs) time.Duration {
 	tb.Helper()
 	start := time.Now()
-	if _, err := RunObserved(fig52.Chain, fig52.Users, 7, o); err != nil {
+	if _, err := Execute(Spec{Chain: fig52.Chain, Users: fig52.Users, Seed: 7, Obs: o}); err != nil {
 		tb.Fatal(err)
 	}
 	return time.Since(start)
@@ -49,7 +49,7 @@ func TestNoOpObservabilityOverhead(t *testing.T) {
 
 func BenchmarkFig52(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(fig52.Chain, fig52.Users, 7); err != nil {
+		if _, err := Execute(Spec{Chain: fig52.Chain, Users: fig52.Users, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkFig52(b *testing.B) {
 
 func BenchmarkFig52Observed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(fig52.Chain, fig52.Users, 7, obs.New()); err != nil {
+		if _, err := Execute(Spec{Chain: fig52.Chain, Users: fig52.Users, Seed: 7, Obs: obs.New()}); err != nil {
 			b.Fatal(err)
 		}
 	}

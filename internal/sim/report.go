@@ -154,16 +154,9 @@ var FigureSpecs = []FigureSpec{
 
 // RunFigure executes the run behind one figure spec.
 func RunFigure(spec FigureSpec, seed uint64) (*Figure, *Result, error) {
-	r, err := Run(spec.Chain, spec.Users, seed)
+	r, err := Execute(Spec{Chain: spec.Chain, Users: spec.Users, Seed: seed})
 	if err != nil {
 		return nil, nil, err
 	}
-	return FigureFromResult(spec.ID, r), r, nil
-}
-
-// RunTables executes the runs behind Tables 5.1–5.4 and returns them in
-// order (deploy16, deploy32, attach16, attach32). The same runs feed the
-// deploy and attach tables, as in the thesis.
-func RunTables(seed uint64) ([]*Table, map[int]map[ChainName]*Result, error) {
-	return RunTablesObserved(seed, nil)
+	return FigureFromResult(spec.ID, r.Result), r.Result, nil
 }

@@ -11,8 +11,10 @@ import (
 	"agnopol/internal/core"
 	"agnopol/internal/eth"
 	"agnopol/internal/lang"
+	"agnopol/internal/mstate"
 	"agnopol/internal/mstate/diskstore"
 	"agnopol/internal/obs"
+	"agnopol/internal/polcrypto"
 )
 
 // SoakSpec describes a sustained-load run: M areas × K users × T rounds of
@@ -295,6 +297,11 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		return nil, err
 	}
 
+	b, err := newSoakBackend(conn, compiled, run.startRound)
+	if err != nil {
+		return nil, err
+	}
+
 	// Deployment phase: one contract per area, registered for routing.
 	// This happens before the clock starts — the soak measures sustained
 	// load, not setup. EVM chains deploy through the batched submission
@@ -306,14 +313,7 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 	if run.resumed {
 		err = rebuildSoakRegistry(spec, conn, reg, compiled)
 	} else {
-		switch c := conn.(type) {
-		case *core.EVMConnector:
-			err = deployAreasEVM(spec, c, reg, compiled)
-		case *core.AlgorandConnector:
-			err = deployAreasAlgorand(spec, c, reg, compiled)
-		default:
-			err = fmt.Errorf("sim: soak does not support connector %T", conn)
-		}
+		err = b.deploy(spec, reg)
 	}
 	if err != nil {
 		return nil, err
@@ -324,15 +324,7 @@ func RunSoak(spec SoakSpec) (*SoakResult, error) {
 		Rounds: spec.Rounds, Shards: spec.Shards, Seed: spec.Seed,
 		Resumed: run.resumed, ReopenWall: reopenWall,
 	}
-	switch c := conn.(type) {
-	case *core.EVMConnector:
-		err = soakEVM(spec, c, reg, compiled, res, run)
-	case *core.AlgorandConnector:
-		err = soakAlgorand(spec, c, reg, res, run)
-	default:
-		err = fmt.Errorf("sim: soak does not support connector %T", conn)
-	}
-	if err != nil {
+	if err := soakLoad(spec, b, reg, res, run); err != nil {
 		return nil, err
 	}
 	// Live-heap measurement, outside the timed window: force a collection
@@ -362,15 +354,185 @@ func checkinGasLimit(compiled *lang.Compiled) uint64 {
 	return eth.DefaultGasLimit
 }
 
-// deployAreasEVM publishes one check-in contract per area through the
-// chain's batched submission path: sequential deployer nonces keep the
-// deterministic contract addresses computable up front, so handles are
-// registered before the transactions even land. The deployer's key comes
-// from the soak-owned stream and is funded via Fund — proportionally to
-// the area count, since selection reserves maxFee×gasLimit per pending
-// deployment up front.
-func deployAreasEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, compiled *lang.Compiled) error {
-	c := conn.Chain()
+// soakBackend is one chain family's side of the soak: area deployment,
+// user accounts, a round's signed check-in batch, the step, the
+// checkpoint and the per-user funding behind the fee identity. soakLoad
+// drives everything else — rounds, telemetry ticks, checkpoint cadence,
+// the drain and the result — once for both families.
+type soakBackend interface {
+	// The chain methods both families share with identical signatures.
+	SetShards(int)
+	SetRetention(int)
+	PendingCount() int
+	Now() time.Duration
+	ShardStats() *chain.ShardStats
+	Digest() chain.Hash32
+	StateRoot() chain.Hash32
+	Balance(chain.Address) chain.Amount
+
+	// deploy publishes one check-in contract per area and registers the
+	// handles.
+	deploy(spec SoakSpec, reg *core.AreaRegistry) error
+	// addUser derives the next user from the soak key stream, funds it
+	// on a fresh run, and aims its check-ins at h.
+	addUser(keys *chain.Rand, h *core.Handle, fund bool) chain.Address
+	// submitRound builds and signs every user's check-in for round, in
+	// user order, and submits them as one batch; slot i is user i's
+	// admission error.
+	submitRound(round int) ([]error, error)
+	step()
+	height() uint64
+	// checkpoint captures the chain checkpoint into meta and commits the
+	// world state to store.
+	checkpoint(meta *soakCheckpoint, store mstate.NodeStore) (mstate.Hash, error)
+	// funding is what addUser credits each user.
+	funding() *big.Int
+}
+
+// newSoakBackend wraps a soak connector's chain. startRound is the first
+// load round this process drives (non-zero on a resume).
+func newSoakBackend(conn core.Connector, compiled *lang.Compiled, startRound int) (soakBackend, error) {
+	api := compiled.Program.FindAPI("checkin")
+	if api == nil {
+		return nil, fmt.Errorf("sim: checkin API missing from compiled contract")
+	}
+	switch c := conn.(type) {
+	case *core.EVMConnector:
+		return &evmSoakBackend{Chain: c.Chain(), conn: c, compiled: compiled, api: api,
+			gasLimit: checkinGasLimit(compiled), startNonce: uint64(startRound)}, nil
+	case *core.AlgorandConnector:
+		return &algorandSoakBackend{Chain: c.Chain(), conn: c, compiled: compiled, api: api}, nil
+	default:
+		return nil, fmt.Errorf("sim: soak does not support connector %T", conn)
+	}
+}
+
+// soakLoad runs the load phase: derive (and on a fresh run fund) the
+// users, then drive the rounds, checkpointing at the configured cadence,
+// and drain.
+func soakLoad(spec SoakSpec, b soakBackend, reg *core.AreaRegistry, res *SoakResult, run *soakRun) error {
+	b.SetShards(spec.Shards)
+	b.SetRetention(soakRetention)
+
+	// User keys come from the soak-owned stream (deployer first, then one
+	// key per user index), so a resumed process re-derives the identical
+	// accounts; only a fresh run funds them.
+	keys := soakKeyStream(spec.Seed)
+	_ = polcrypto.MustGenerateKeyPair(keys) // skip the deployer's draw
+	users := make([]chain.Address, spec.Users)
+	areas := reg.Areas()
+	for ui := range users {
+		h, ok := reg.Lookup(areas[ui%len(areas)])
+		if !ok {
+			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
+		}
+		users[ui] = b.addUser(keys, h, !run.resumed)
+	}
+
+	blocksBefore := b.height()
+	simStart := b.Now()
+	if run.resumed {
+		blocksBefore = run.blocksAtLoadStart
+		simStart = run.simStart
+	}
+	if run.persist != nil {
+		run.persist.meta.BlocksAtLoadStart = blocksBefore
+		run.persist.meta.SimStart = simStart
+		if !run.resumed {
+			if err := run.persist.commit(b, 0, 0, false); err != nil {
+				return err
+			}
+		}
+	}
+	res.Submitted = run.submitted0
+	start := time.Now()
+	finish := func() {
+		res.Wall = time.Since(start)
+		res.Simulated = b.Now() - simStart
+		res.Blocks = b.height() - blocksBefore
+		if st := b.ShardStats(); st != nil {
+			res.Utilization = st.Utilization()
+			res.ShardTxs = append([]uint64(nil), st.Txs...)
+			res.ParallelBatches = st.ParallelBatches
+		}
+		res.Digest = b.Digest()
+		res.StateRoot = b.StateRoot()
+		// Check-ins move zero value, so each user's fees are exactly
+		// their funding minus their final balance.
+		fees := new(big.Int)
+		for _, u := range users {
+			bal := b.Balance(u)
+			fees.Add(fees, new(big.Int).Sub(b.funding(), bal.Base))
+			res.FeesPaid = chain.Amount{Base: fees, Unit: bal.Unit}
+		}
+	}
+	for round := run.startRound; round < spec.Rounds; round++ {
+		errs, err := b.submitRound(round)
+		if err != nil {
+			return err
+		}
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("sim: soak round %d tx %d: %w", round, i, err)
+			}
+		}
+		res.Submitted += uint64(len(errs))
+		b.step()
+		spec.Telemetry.Tick()
+		roundsDone := round + 1
+		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
+		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
+			if err := run.persist.commit(b, roundsDone, res.Submitted, false); err != nil {
+				return err
+			}
+		}
+		if stop {
+			res.Stopped = true
+			finish()
+			return nil
+		}
+	}
+	for i := 0; i < spec.Rounds*10+50 && b.PendingCount() > 0; i++ {
+		b.step()
+	}
+	spec.Telemetry.Tick()
+	if n := b.PendingCount(); n != 0 {
+		return fmt.Errorf("sim: soak drain incomplete: %d transactions pending", n)
+	}
+	finish()
+	res.Included = res.Submitted
+	if res.Included > 0 {
+		res.MeanFeeEuro = res.FeesPaid.Euros() / float64(res.Included)
+	}
+	if run.persist != nil {
+		return run.persist.commit(b, spec.Rounds, res.Submitted, true)
+	}
+	return nil
+}
+
+// evmSoakBackend is the Ethereum-family soak backend. Each user submits
+// exactly one transaction per round, which pins their nonce at round
+// start to the number of completed rounds — startNonce on a resume.
+type evmSoakBackend struct {
+	*eth.Chain
+	conn       *core.EVMConnector
+	compiled   *lang.Compiled
+	api        *lang.API
+	gasLimit   uint64
+	startNonce uint64
+	users      []*eth.Account
+	nonces     []uint64
+	targets    []chain.Address
+}
+
+// deploy publishes one check-in contract per area through the chain's
+// batched submission path. Sequential deployer nonces keep the deterministic contract addresses
+// computable up front, so handles are registered before the transactions
+// even land. The deployer's key comes from the soak-owned stream and is
+// funded via Fund — proportionally to the area count, since selection
+// reserves maxFee×gasLimit per pending deployment up front.
+func (b *evmSoakBackend) deploy(spec SoakSpec, reg *core.AreaRegistry) error {
+	c, compiled := b.Chain, b.compiled
 	c.SetRetention(soakRetention)
 	deployer := soakAccountEVM(soakKeyStream(spec.Seed))
 	c.Fund(deployer.Address, new(big.Int).Mul(big.NewInt(int64(spec.Areas)+100), big.NewInt(1e18)))
@@ -415,7 +577,7 @@ func deployAreasEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegist
 			}
 		}
 		h := &core.Handle{
-			Connector: conn.Name(),
+			Connector: b.conn.Name(),
 			EVMAddr:   chain.ContractAddress(deployer.Address, nonce),
 			Compiled:  compiled,
 		}
@@ -442,19 +604,77 @@ func deployAreasEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegist
 	return nil
 }
 
-// deployAreasAlgorand publishes one check-in application per area through
-// the connector's submit-and-wait path. Sequential creation pins app ids
-// to 1..Areas, which is what lets a resumed run re-derive its registry
+func (b *evmSoakBackend) addUser(keys *chain.Rand, h *core.Handle, fund bool) chain.Address {
+	u := soakAccountEVM(keys)
+	if fund {
+		b.Fund(u.Address, b.funding())
+	}
+	b.users = append(b.users, u)
+	b.nonces = append(b.nonces, b.startNonce)
+	b.targets = append(b.targets, h.EVMAddr)
+	return u.Address
+}
+
+func (b *evmSoakBackend) submitRound(round int) ([]error, error) {
+	tip := big.NewInt(2_000_000_000)
+	maxFee := new(big.Int).Add(new(big.Int).Mul(b.BaseFee(), big.NewInt(2)), tip)
+	txs := make([]*eth.Tx, 0, len(b.users))
+	for ui, u := range b.users {
+		data, err := lang.EncodeArgsEVM("checkin", b.api.Params, []lang.Value{
+			lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
+		})
+		if err != nil {
+			return nil, err
+		}
+		to := b.targets[ui]
+		tx := &eth.Tx{
+			From: u.Address, Nonce: b.nonces[ui], To: &to,
+			Value: big.NewInt(0), Data: data, GasLimit: b.gasLimit,
+			MaxFee: maxFee, MaxTip: tip,
+		}
+		tx.Sign(u)
+		b.nonces[ui]++
+		txs = append(txs, tx)
+	}
+	_, errs := b.SubmitBatch(txs)
+	return errs, nil
+}
+
+func (b *evmSoakBackend) step()             { b.Step() }
+func (b *evmSoakBackend) height() uint64    { return b.Head().Number }
+func (b *evmSoakBackend) funding() *big.Int { return new(big.Int).Set(soakFundEVM) }
+
+func (b *evmSoakBackend) checkpoint(meta *soakCheckpoint, store mstate.NodeStore) (mstate.Hash, error) {
+	ck, err := b.Checkpoint()
+	if err != nil {
+		return mstate.Hash{}, err
+	}
+	meta.Eth, meta.Algo = ck, nil
+	return b.CommitState(store)
+}
+
+// algorandSoakBackend is the Algorand soak backend.
+type algorandSoakBackend struct {
+	*algorand.Chain
+	conn     *core.AlgorandConnector
+	compiled *lang.Compiled
+	api      *lang.API
+	users    []*algorand.Account
+	targets  []uint64
+}
+
+// deploy publishes one check-in application per area through the
+// connector's submit-and-wait path. Sequential creation pins app ids to
+// 1..Areas, which is what lets a resumed run re-derive its registry
 // without replaying the deployment.
-func deployAreasAlgorand(spec SoakSpec, conn *core.AlgorandConnector, reg *core.AreaRegistry, compiled *lang.Compiled) error {
-	c := conn.Chain()
-	c.SetRetention(soakRetention)
+func (b *algorandSoakBackend) deploy(spec SoakSpec, reg *core.AreaRegistry) error {
+	b.SetRetention(soakRetention)
 	dep := soakAccountAlgorand(soakKeyStream(spec.Seed))
-	c.Fund(dep.Address, 100_000_000+uint64(spec.Areas)*2*algorand.MinFee)
+	b.Fund(dep.Address, 100_000_000+uint64(spec.Areas)*2*algorand.MinFee)
 	deployer := core.AlgorandAccount(dep)
 	for i := 0; i < spec.Areas; i++ {
 		area := soakAreaCode(i)
-		h, _, err := conn.Deploy(deployer, compiled, []lang.Value{
+		h, _, err := b.conn.Deploy(deployer, b.compiled, []lang.Value{
 			lang.BytesValue([]byte(area)),
 		})
 		if err != nil {
@@ -471,260 +691,47 @@ func deployAreasAlgorand(spec SoakSpec, conn *core.AlgorandConnector, reg *core.
 	return nil
 }
 
-// soakEVM runs the load phase against an Ethereum-family chain.
-func soakEVM(spec SoakSpec, conn *core.EVMConnector, reg *core.AreaRegistry, compiled *lang.Compiled, res *SoakResult, run *soakRun) error {
-	c := conn.Chain()
-	c.SetShards(spec.Shards)
-	c.SetRetention(soakRetention)
-	api := compiled.Program.FindAPI("checkin")
-	if api == nil {
-		return fmt.Errorf("sim: checkin API missing from compiled contract")
+func (b *algorandSoakBackend) addUser(keys *chain.Rand, h *core.Handle, fund bool) chain.Address {
+	u := soakAccountAlgorand(keys)
+	if fund {
+		b.Fund(u.Address, soakFundAlgorand)
 	}
-	gasLimit := checkinGasLimit(compiled)
-
-	// User keys come from the soak-owned stream (deployer first, then one
-	// key per user index), so a resumed process re-derives the identical
-	// accounts; only a fresh run funds them. Each user submits exactly one
-	// transaction per round, which pins their nonce at round start to the
-	// number of completed rounds.
-	keys := soakKeyStream(spec.Seed)
-	_ = soakAccountEVM(keys) // skip the deployer's draw
-	users := make([]*eth.Account, spec.Users)
-	nonces := make([]uint64, spec.Users)
-	targets := make([]chain.Address, spec.Users)
-	areas := reg.Areas()
-	for ui := range users {
-		u := soakAccountEVM(keys)
-		if !run.resumed {
-			c.Fund(u.Address, new(big.Int).Set(soakFundEVM))
-		}
-		users[ui] = u
-		nonces[ui] = uint64(run.startRound)
-		h, ok := reg.Lookup(areas[ui%len(areas)])
-		if !ok {
-			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
-		}
-		targets[ui] = h.EVMAddr
-	}
-
-	tip := big.NewInt(2_000_000_000)
-	blocksBefore := c.Head().Number
-	simStart := c.Now()
-	if run.resumed {
-		blocksBefore = run.blocksAtLoadStart
-		simStart = run.simStart
-	}
-	if run.persist != nil {
-		run.persist.meta.BlocksAtLoadStart = blocksBefore
-		run.persist.meta.SimStart = simStart
-		if !run.resumed {
-			if err := run.persist.commitEVM(c, 0, 0, false); err != nil {
-				return err
-			}
-		}
-	}
-	res.Submitted = run.submitted0
-	start := time.Now()
-	finish := func() {
-		res.Wall = time.Since(start)
-		res.Simulated = c.Now() - simStart
-		res.Blocks = c.Head().Number - blocksBefore
-		if st := c.ShardStats(); st != nil {
-			res.Utilization = st.Utilization()
-			res.ShardTxs = append([]uint64(nil), st.Txs...)
-			res.ParallelBatches = st.ParallelBatches
-		}
-		res.Digest = c.Digest()
-		res.StateRoot = c.StateRoot()
-		fees := new(big.Int)
-		for _, u := range users {
-			bal := c.Balance(u.Address)
-			fees.Add(fees, new(big.Int).Sub(soakFundEVM, bal.Base))
-			res.FeesPaid = chain.Amount{Base: fees, Unit: bal.Unit}
-		}
-	}
-	for round := run.startRound; round < spec.Rounds; round++ {
-		maxFee := new(big.Int).Add(new(big.Int).Mul(c.BaseFee(), big.NewInt(2)), tip)
-		txs := make([]*eth.Tx, 0, spec.Users)
-		for ui, u := range users {
-			data, err := lang.EncodeArgsEVM("checkin", api.Params, []lang.Value{
-				lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
-			})
-			if err != nil {
-				return err
-			}
-			to := targets[ui]
-			tx := &eth.Tx{
-				From: u.Address, Nonce: nonces[ui], To: &to,
-				Value: big.NewInt(0), Data: data, GasLimit: gasLimit,
-				MaxFee: maxFee, MaxTip: tip,
-			}
-			tx.Sign(u)
-			nonces[ui]++
-			txs = append(txs, tx)
-		}
-		_, errs := c.SubmitBatch(txs)
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("sim: soak round %d tx %d: %w", round, i, err)
-			}
-		}
-		res.Submitted += uint64(len(txs))
-		c.Step()
-		spec.Telemetry.Tick()
-		roundsDone := round + 1
-		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
-		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
-			if err := run.persist.commitEVM(c, roundsDone, res.Submitted, false); err != nil {
-				return err
-			}
-		}
-		if stop {
-			res.Stopped = true
-			finish()
-			return nil
-		}
-	}
-	for i := 0; i < spec.Rounds*10+50 && c.PendingCount() > 0; i++ {
-		c.Step()
-	}
-	spec.Telemetry.Tick()
-	if n := c.PendingCount(); n != 0 {
-		return fmt.Errorf("sim: soak drain incomplete: %d transactions pending", n)
-	}
-	finish()
-	res.Included = res.Submitted
-	if res.Included > 0 {
-		res.MeanFeeEuro = res.FeesPaid.Euros() / float64(res.Included)
-	}
-	if run.persist != nil {
-		if err := run.persist.commitEVM(c, spec.Rounds, res.Submitted, true); err != nil {
-			return err
-		}
-	}
-	return nil
+	b.users = append(b.users, u)
+	b.targets = append(b.targets, h.AppID)
+	return u.Address
 }
 
-// soakAlgorand runs the load phase against the Algorand chain.
-func soakAlgorand(spec SoakSpec, conn *core.AlgorandConnector, reg *core.AreaRegistry, res *SoakResult, run *soakRun) error {
-	c := conn.Chain()
-	c.SetShards(spec.Shards)
-	c.SetRetention(soakRetention)
+func (b *algorandSoakBackend) submitRound(round int) ([]error, error) {
+	groups := make([]algorand.Group, 0, len(b.users))
+	for ui, u := range b.users {
+		appArgs, err := lang.EncodeArgsTEAL("checkin", b.api.Params, []lang.Value{
+			lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
+		})
+		if err != nil {
+			return nil, err
+		}
+		call := &algorand.Tx{
+			Type: algorand.TxAppCall, Sender: u.Address,
+			Fee: algorand.MinFee, AppID: b.targets[ui], Args: appArgs,
+		}
+		call.Sign(u)
+		groups = append(groups, algorand.Group{call})
+	}
+	_, errs := b.SubmitBatch(groups)
+	return errs, nil
+}
 
-	keys := soakKeyStream(spec.Seed)
-	_ = soakAccountAlgorand(keys) // skip the deployer's draw
-	users := make([]*algorand.Account, spec.Users)
-	targets := make([]uint64, spec.Users)
-	areas := reg.Areas()
-	var api *lang.API
-	for ui := range users {
-		u := soakAccountAlgorand(keys)
-		if !run.resumed {
-			c.Fund(u.Address, soakFundAlgorand)
-		}
-		users[ui] = u
-		h, ok := reg.Lookup(areas[ui%len(areas)])
-		if !ok {
-			return fmt.Errorf("sim: area %s not registered", areas[ui%len(areas)])
-		}
-		targets[ui] = h.AppID
-		if api == nil {
-			api = h.Compiled.Program.FindAPI("checkin")
-		}
-	}
-	if api == nil {
-		return fmt.Errorf("sim: checkin API missing from compiled contract")
-	}
+func (b *algorandSoakBackend) step()          { b.Step() }
+func (b *algorandSoakBackend) height() uint64 { return b.Head().Round }
+func (b *algorandSoakBackend) funding() *big.Int {
+	return new(big.Int).SetUint64(soakFundAlgorand)
+}
 
-	blocksBefore := c.Head().Round
-	simStart := c.Now()
-	if run.resumed {
-		blocksBefore = run.blocksAtLoadStart
-		simStart = run.simStart
+func (b *algorandSoakBackend) checkpoint(meta *soakCheckpoint, store mstate.NodeStore) (mstate.Hash, error) {
+	ck, err := b.Checkpoint()
+	if err != nil {
+		return mstate.Hash{}, err
 	}
-	if run.persist != nil {
-		run.persist.meta.BlocksAtLoadStart = blocksBefore
-		run.persist.meta.SimStart = simStart
-		if !run.resumed {
-			if err := run.persist.commitAlgorand(c, 0, 0, false); err != nil {
-				return err
-			}
-		}
-	}
-	res.Submitted = run.submitted0
-	start := time.Now()
-	finish := func() {
-		res.Wall = time.Since(start)
-		res.Simulated = c.Now() - simStart
-		res.Blocks = c.Head().Round - blocksBefore
-		if st := c.ShardStats(); st != nil {
-			res.Utilization = st.Utilization()
-			res.ShardTxs = append([]uint64(nil), st.Txs...)
-			res.ParallelBatches = st.ParallelBatches
-		}
-		res.Digest = c.Digest()
-		res.StateRoot = c.StateRoot()
-		fees := new(big.Int)
-		for _, u := range users {
-			bal := c.Balance(u.Address)
-			fees.Add(fees, new(big.Int).Sub(new(big.Int).SetUint64(soakFundAlgorand), bal.Base))
-			res.FeesPaid = chain.Amount{Base: fees, Unit: bal.Unit}
-		}
-	}
-	for round := run.startRound; round < spec.Rounds; round++ {
-		groups := make([]algorand.Group, 0, spec.Users)
-		for ui, u := range users {
-			appArgs, err := lang.EncodeArgsTEAL("checkin", api.Params, []lang.Value{
-				lang.Uint64Value(uint64(ui)), lang.Uint64Value(uint64(round) + 1),
-			})
-			if err != nil {
-				return err
-			}
-			call := &algorand.Tx{
-				Type: algorand.TxAppCall, Sender: u.Address,
-				Fee: algorand.MinFee, AppID: targets[ui], Args: appArgs,
-			}
-			call.Sign(u)
-			groups = append(groups, algorand.Group{call})
-		}
-		_, errs := c.SubmitBatch(groups)
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("sim: soak round %d group %d: %w", round, i, err)
-			}
-		}
-		res.Submitted += uint64(len(groups))
-		c.Step()
-		spec.Telemetry.Tick()
-		roundsDone := round + 1
-		stop := spec.StopAfterRounds > 0 && roundsDone >= spec.StopAfterRounds && roundsDone < spec.Rounds
-		if run.persist != nil && (stop || (spec.CheckpointEvery > 0 && roundsDone%spec.CheckpointEvery == 0)) {
-			if err := run.persist.commitAlgorand(c, roundsDone, res.Submitted, false); err != nil {
-				return err
-			}
-		}
-		if stop {
-			res.Stopped = true
-			finish()
-			return nil
-		}
-	}
-	for i := 0; i < spec.Rounds*10+50 && c.PendingCount() > 0; i++ {
-		c.Step()
-	}
-	spec.Telemetry.Tick()
-	if n := c.PendingCount(); n != 0 {
-		return fmt.Errorf("sim: soak drain incomplete: %d groups pending", n)
-	}
-	finish()
-	res.Included = res.Submitted
-	if res.Included > 0 {
-		res.MeanFeeEuro = res.FeesPaid.Euros() / float64(res.Included)
-	}
-	if run.persist != nil {
-		if err := run.persist.commitAlgorand(c, spec.Rounds, res.Submitted, true); err != nil {
-			return err
-		}
-	}
-	return nil
+	meta.Eth, meta.Algo = nil, ck
+	return b.CommitState(store)
 }

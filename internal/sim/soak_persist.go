@@ -63,7 +63,14 @@ type soakPersist struct {
 	meta  soakCheckpoint
 }
 
-func (p *soakPersist) commit(root mstate.Hash, roundsDone int, submitted uint64, drained bool) error {
+// commit captures the backend's chain checkpoint, commits its world
+// state, and publishes both with the run's progress in one manifest
+// write.
+func (p *soakPersist) commit(b soakBackend, roundsDone int, submitted uint64, drained bool) error {
+	root, err := b.checkpoint(&p.meta, p.store)
+	if err != nil {
+		return err
+	}
 	m := p.meta
 	m.RoundsDone = roundsDone
 	m.Submitted = submitted
@@ -73,32 +80,6 @@ func (p *soakPersist) commit(root mstate.Hash, roundsDone int, submitted uint64,
 		return fmt.Errorf("sim: encode soak checkpoint: %w", err)
 	}
 	return p.store.Commit(root, blob)
-}
-
-func (p *soakPersist) commitEVM(c *eth.Chain, roundsDone int, submitted uint64, drained bool) error {
-	ck, err := c.Checkpoint()
-	if err != nil {
-		return err
-	}
-	root, err := c.CommitState(p.store)
-	if err != nil {
-		return err
-	}
-	p.meta.Eth, p.meta.Algo = ck, nil
-	return p.commit(root, roundsDone, submitted, drained)
-}
-
-func (p *soakPersist) commitAlgorand(c *algorand.Chain, roundsDone int, submitted uint64, drained bool) error {
-	ck, err := c.Checkpoint()
-	if err != nil {
-		return err
-	}
-	root, err := c.CommitState(p.store)
-	if err != nil {
-		return err
-	}
-	p.meta.Eth, p.meta.Algo = nil, ck
-	return p.commit(root, roundsDone, submitted, drained)
 }
 
 // soakRun carries the restart position through RunSoak's setup into the

@@ -21,6 +21,12 @@ go vet ./...
 echo "== tests (race, shuffled) =="
 go test -race -shuffle=on ./...
 
+echo "== perfbench module =="
+# perfbench is a Go module of its own (it drives the public APIs from
+# outside), so the root ./... patterns above skip it; its checks keep the
+# APIs it compiles against honest.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== examples =="
 for ex in quickstart crowdsensing geofence badgehunt greentoken; do
     echo "-- examples/$ex"
