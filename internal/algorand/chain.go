@@ -410,11 +410,8 @@ func (c *Chain) Step() *Block {
 		if c.obs != nil {
 			c.obs.groupsIncluded.Inc()
 			c.obs.inclusionLatency.Observe((blk.Time - p.submitted).Seconds())
-			c.obs.inclusionSketch.Observe((blk.Time - p.submitted).Seconds())
 			if rcpt.Reverted {
 				c.obs.groupsRejected.Inc()
-				c.obs.log.Warn("group rejected", "chain", c.cfg.Name,
-					"round", blk.Round, "reason", rcpt.RevertMsg)
 			}
 		}
 	}
@@ -449,10 +446,6 @@ func (c *Chain) Step() *Block {
 		c.obs.roundsCertified.Inc()
 		c.obs.certVotes.Add(uint64(len(cert.Votes)))
 		c.obs.pendingDepth.Set(float64(len(c.pending)))
-		if c.obs.log.Enabled(obs.LevelDebug) {
-			c.obs.log.Debug("round certified", "chain", c.cfg.Name,
-				"round", blk.Round, "groups", len(blk.Groups), "votes", len(cert.Votes))
-		}
 	}
 	return blk
 }

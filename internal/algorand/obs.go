@@ -4,11 +4,6 @@ import (
 	"agnopol/internal/obs"
 )
 
-// InclusionLatencyBuckets are the histogram bounds, in simulated seconds,
-// for group inclusion latency. Rounds certify every ~4.5 s, so the range
-// is tighter than on the EVM chains.
-var InclusionLatencyBuckets = []float64{1, 2.5, 5, 7.5, 10, 15, 20, 30, 45, 60}
-
 // chainObs bundles the chain's metric instruments; nil means the chain is
 // uninstrumented and hook sites cost one nil check.
 type chainObs struct {
@@ -19,19 +14,15 @@ type chainObs struct {
 	certVotes        *obs.Counter
 	fees             *obs.Counter
 	pendingDepth     *obs.Gauge
-	inclusionLatency *obs.Histogram
-	// inclusionSketch answers tail-latency questions the fixed buckets
-	// can't: a mergeable quantile sketch over the same observations.
-	inclusionSketch *obs.QuantileSketch
-	faultDelay      *obs.QuantileSketch
-	prof            obs.Profiler
-	log             *obs.Logger
+	inclusionLatency *obs.QuantileSketch
+	faultDelay       *obs.QuantileSketch
+	prof             obs.Profiler
 }
 
-// Instrument attaches metric instruments, an AVM opcode profiler and a
-// logger to the chain. All metrics carry a chain label with the preset
-// name. Passing a nil registry detaches instrumentation.
-func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger) {
+// Instrument attaches metric instruments and an AVM opcode profiler to
+// the chain. All metrics carry a chain label with the preset name.
+// Passing a nil registry detaches instrumentation.
+func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler) {
 	if reg == nil {
 		c.obs = nil
 		return
@@ -45,11 +36,9 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 		certVotes:        reg.Counter("algorand_cert_votes_total", name),
 		fees:             reg.Counter("algorand_fees_microalgo_total", name),
 		pendingDepth:     reg.Gauge("algorand_pending_depth", name),
-		inclusionLatency: reg.Histogram("algorand_inclusion_latency_seconds", InclusionLatencyBuckets, name),
-		inclusionSketch:  reg.Sketch("algorand_inclusion_latency", name),
+		inclusionLatency: reg.Sketch("algorand_inclusion_latency_seconds", name),
 		faultDelay:       reg.Sketch("faults_injected_delay_seconds", name),
 		prof:             prof,
-		log:              log,
 	}
 	reg.Help("algorand_rounds_certified_total", "Consensus rounds certified.")
 	reg.Help("algorand_groups_submitted_total", "Transaction groups accepted into the pending pool.")
@@ -59,6 +48,5 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 	reg.Help("algorand_fees_microalgo_total", "Fees charged, in microAlgos.")
 	reg.Help("algorand_pending_depth", "Transaction groups currently awaiting a round.")
 	reg.Help("algorand_inclusion_latency_seconds", "Simulated submit-to-certification latency.")
-	reg.Help("algorand_inclusion_latency", "Quantile sketch of simulated submit-to-certification latency.")
 	reg.Help("faults_injected_delay_seconds", "Quantile sketch of injected tx_delay propagation stalls.")
 }

@@ -18,20 +18,6 @@ const (
 	PhasePublish   = "publish"
 )
 
-// phaseBuckets covers wall-clock phase durations from 1 µs to 100 s.
-// Literal bounds, not computed by repeated multiplication: 1e-6·10 is
-// not representable as exactly 1e-5 in float64, and the drift would leak
-// into the le labels of the exposition.
-var phaseBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}
-
-// chainOpBuckets covers simulated on-chain operation latency, which is
-// dominated by block/round inclusion time.
-var chainOpBuckets = []float64{1, 2.5, 5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 300}
-
-// hopBuckets covers hypercube routing distances; the DHT dimension is 6,
-// so a greedy route takes at most 6 hops.
-var hopBuckets = []float64{0, 1, 2, 3, 4, 5, 6}
-
 // sysObs bundles the proof-pipeline instruments. nil means the system is
 // uninstrumented; every hook reduces to a nil check.
 type sysObs struct {
@@ -39,17 +25,13 @@ type sysObs struct {
 	// scope is the system's explicit span stack. A System runs one proof
 	// pipeline at a time, but many instrumented Systems may run
 	// concurrently against one shared tracer (sim.RunMatrix); parenting
-	// through a per-system scope instead of the tracer's process-wide
-	// implicit stack keeps each run's span tree correctly nested.
+	// through a per-system scope keeps each run's span tree correctly
+	// nested.
 	scope *obs.Scope
 
-	phases   map[string]*obs.Histogram
-	chainOps map[string]*obs.Histogram
-	// chainOpSketches mirror chainOps as mergeable quantile sketches, so
-	// tail latency (p99/p999) stays answerable at soak scale where the
-	// fixed buckets saturate.
-	chainOpSketches   map[string]*obs.QuantileSketch
-	hops              *obs.Histogram
+	phases            map[string]*obs.QuantileSketch
+	chainOps          map[string]*obs.QuantileSketch
+	hops              *obs.QuantileSketch
 	proofsIssued      *obs.Counter
 	contractsDeployed *obs.Counter
 	proofsAttached    *obs.Counter
@@ -60,7 +42,7 @@ type sysObs struct {
 }
 
 // Instrument attaches an observability bundle to the system: per-phase
-// duration histograms, proof-lifecycle counters and the span tracer.
+// duration sketches, proof-lifecycle counters and the span tracer.
 // Passing nil detaches instrumentation.
 func (s *System) Instrument(o *obs.Obs) {
 	if o == nil || o.Registry == nil {
@@ -69,20 +51,18 @@ func (s *System) Instrument(o *obs.Obs) {
 	}
 	reg := o.Registry
 	so := &sysObs{
-		o:               o,
-		scope:           o.Tracer.NewScope(nil),
-		phases:          make(map[string]*obs.Histogram),
-		chainOps:        make(map[string]*obs.Histogram),
-		chainOpSketches: make(map[string]*obs.QuantileSketch),
+		o:        o,
+		scope:    o.Tracer.NewScope(nil),
+		phases:   make(map[string]*obs.QuantileSketch),
+		chainOps: make(map[string]*obs.QuantileSketch),
 	}
 	for _, phase := range []string{PhaseDiscover, PhaseChallenge, PhaseSign, PhaseSubmit, PhaseVerify, PhasePublish} {
-		so.phases[phase] = reg.Histogram("core_phase_duration_seconds", phaseBuckets, obs.L("phase", phase))
+		so.phases[phase] = reg.Sketch("core_phase_duration_seconds", obs.L("phase", phase))
 	}
 	for _, op := range []string{"deploy", "attach", "verify"} {
-		so.chainOps[op] = reg.Histogram("core_chain_op_latency_seconds", chainOpBuckets, obs.L("op", op))
-		so.chainOpSketches[op] = reg.Sketch("core_chain_op_latency", obs.L("op", op))
+		so.chainOps[op] = reg.Sketch("core_chain_op_latency_seconds", obs.L("op", op))
 	}
-	so.hops = reg.Histogram("core_hypercube_hops", hopBuckets)
+	so.hops = reg.Sketch("core_hypercube_hops")
 	so.proofsIssued = reg.Counter("core_proofs_issued_total")
 	so.contractsDeployed = reg.Counter("core_contracts_deployed_total")
 	so.proofsAttached = reg.Counter("core_proofs_attached_total")
@@ -92,7 +72,6 @@ func (s *System) Instrument(o *obs.Obs) {
 	so.sigCacheMisses = reg.Counter("core_sigcache_total", obs.L("result", "miss"))
 	reg.Help("core_phase_duration_seconds", "Wall-clock duration of each proof-pipeline phase.")
 	reg.Help("core_chain_op_latency_seconds", "Simulated latency of on-chain PoL operations.")
-	reg.Help("core_chain_op_latency", "Quantile sketch of simulated on-chain PoL operation latency.")
 	reg.Help("core_hypercube_hops", "DHT routing hops per contract lookup.")
 	reg.Help("core_proofs_issued_total", "Location proofs signed by witnesses.")
 	reg.Help("core_proofs_rejected_total", "Witness-side proof request rejections by reason.")
@@ -131,7 +110,7 @@ func (s *System) span(name string, labels ...obs.Label) *obs.Span {
 	return s.obs.scope.Start(name, labels...)
 }
 
-// endPhase ends a span and records its duration in the phase histogram.
+// endPhase ends a span and records its duration in the phase sketch.
 func (s *System) endPhase(sp *obs.Span, phase string) {
 	d := sp.End()
 	if s.obs != nil {
@@ -144,7 +123,6 @@ func (s *System) endPhase(sp *obs.Span, phase string) {
 func (s *System) observeChainOp(op string, latency time.Duration) {
 	if s.obs != nil {
 		s.obs.chainOps[op].Observe(latency.Seconds())
-		s.obs.chainOpSketches[op].Observe(latency.Seconds())
 	}
 }
 
@@ -165,12 +143,4 @@ func (s *System) countSigCache(hit bool) {
 	} else {
 		s.obs.sigCacheMisses.Inc()
 	}
-}
-
-// logger returns the attached structured logger; nil-safe.
-func (s *System) logger() *obs.Logger {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.o.Logger
 }

@@ -477,7 +477,6 @@ func (c *Chain) Step() *Block {
 		if c.obs != nil {
 			c.obs.txsIncluded.Inc()
 			c.obs.inclusionLatency.Observe((blk.Time - p.submitted).Seconds())
-			c.obs.inclusionSketch.Observe((blk.Time - p.submitted).Seconds())
 		}
 	}
 
@@ -500,11 +499,6 @@ func (c *Chain) Step() *Block {
 		bf, _ := new(big.Float).SetInt(c.baseFee).Float64()
 		c.obs.baseFee.Set(bf)
 		c.obs.mempoolDepth.Set(float64(len(c.mempool)))
-		if c.obs.log.Enabled(obs.LevelDebug) {
-			c.obs.log.Debug("block produced", "chain", c.cfg.Name,
-				"number", blk.Number, "txs", len(blk.TxHashes),
-				"gas_used", blk.GasUsed, "base_fee", c.baseFee.String())
-		}
 	}
 	return blk
 }
@@ -568,8 +562,6 @@ func (c *Chain) backgroundDemand() float64 {
 		c.spikeBlocksLeft--
 		if c.obs != nil {
 			c.obs.congestionSpikes.Inc()
-			c.obs.log.Info("congestion spike started", "chain", c.cfg.Name,
-				"blocks", c.spikeBlocksLeft+1, "factor", c.cfg.SpikeFactor)
 		}
 		return d * c.cfg.SpikeFactor
 	}

@@ -4,12 +4,6 @@ import (
 	"agnopol/internal/obs"
 )
 
-// InclusionLatencyBuckets are the histogram bounds, in simulated seconds,
-// used for transaction inclusion latency. Slots are 12–15 s apart across
-// the presets, so the buckets span one slot up to several minutes of
-// congestion-induced waiting.
-var InclusionLatencyBuckets = []float64{1, 2.5, 5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 300}
-
 // chainObs bundles the chain's metric instruments. A nil chainObs (the
 // default) means the chain is uninstrumented and every hook site reduces
 // to a single nil check.
@@ -22,19 +16,15 @@ type chainObs struct {
 	blockGasUsed     *obs.Counter
 	baseFee          *obs.Gauge
 	mempoolDepth     *obs.Gauge
-	inclusionLatency *obs.Histogram
-	// inclusionSketch answers tail-latency questions the fixed buckets
-	// can't: a mergeable quantile sketch over the same observations.
-	inclusionSketch *obs.QuantileSketch
-	faultDelay      *obs.QuantileSketch
-	prof            obs.Profiler
-	log             *obs.Logger
+	inclusionLatency *obs.QuantileSketch
+	faultDelay       *obs.QuantileSketch
+	prof             obs.Profiler
 }
 
-// Instrument attaches metric instruments, an opcode profiler and a logger
-// to the chain. All metrics carry a chain label with the preset name.
-// Passing a nil registry detaches instrumentation.
-func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger) {
+// Instrument attaches metric instruments and an opcode profiler to the
+// chain. All metrics carry a chain label with the preset name. Passing a
+// nil registry detaches instrumentation.
+func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler) {
 	if reg == nil {
 		c.obs = nil
 		return
@@ -49,11 +39,9 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 		blockGasUsed:     reg.Counter("eth_block_gas_used_total", name),
 		baseFee:          reg.Gauge("eth_base_fee_wei", name),
 		mempoolDepth:     reg.Gauge("eth_mempool_depth", name),
-		inclusionLatency: reg.Histogram("eth_inclusion_latency_seconds", InclusionLatencyBuckets, name),
-		inclusionSketch:  reg.Sketch("eth_inclusion_latency", name),
+		inclusionLatency: reg.Sketch("eth_inclusion_latency_seconds", name),
 		faultDelay:       reg.Sketch("faults_injected_delay_seconds", name),
 		prof:             prof,
-		log:              log,
 	}
 	reg.Help("eth_blocks_produced_total", "Blocks produced by the simulated EVM chain.")
 	reg.Help("eth_txs_submitted_total", "Transactions accepted into the mempool.")
@@ -64,6 +52,5 @@ func (c *Chain) Instrument(reg *obs.Registry, prof obs.Profiler, log *obs.Logger
 	reg.Help("eth_base_fee_wei", "Current EIP-1559 base fee in wei.")
 	reg.Help("eth_mempool_depth", "Transactions currently queued in the mempool.")
 	reg.Help("eth_inclusion_latency_seconds", "Simulated submit-to-inclusion latency.")
-	reg.Help("eth_inclusion_latency", "Quantile sketch of simulated submit-to-inclusion latency.")
 	reg.Help("faults_injected_delay_seconds", "Quantile sketch of injected tx_delay propagation stalls.")
 }

@@ -176,23 +176,22 @@ func (m *HealthMonitor) Breaches() uint64 {
 	return m.breaches
 }
 
-// Evaluate runs every rule against the current sampler/registry state,
-// records anomalies for breaches, and returns the evaluations. Callers
-// normally reach it through Telemetry.Tick, which samples first.
+// Evaluate runs every rule against the sampler's history and the
+// registry snapshot its latest Sample took, records anomalies for
+// breaches, and returns the evaluations. Callers normally reach it
+// through Telemetry.Tick, which samples first.
 func (m *HealthMonitor) Evaluate() []Evaluation {
 	if m == nil {
 		return nil
 	}
 	samples := m.sampler.Samples()
-	var reg *Registry
-	if m.o != nil {
-		reg = m.o.Registry
-	}
+	snap := m.sampler.latest()
 	evals := make([]Evaluation, 0, len(m.rules))
 	for _, r := range m.rules {
 		ev := Evaluation{Rule: r}
 		if samples > r.Grace {
-			ev.Evaluated, ev.Value, ev.Breached = m.check(r, reg)
+			// At least one sample has been taken, so snap is non-nil.
+			ev.Evaluated, ev.Value, ev.Breached = m.check(r, snap)
 		}
 		evals = append(evals, ev)
 		if ev.Breached {
@@ -206,7 +205,7 @@ func (m *HealthMonitor) Evaluate() []Evaluation {
 }
 
 // check evaluates one rule; breached is meaningful only when evaluated.
-func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value float64, breached bool) {
+func (m *HealthMonitor) check(r Rule, snap *Snapshot) (evaluated bool, value float64, breached bool) {
 	switch r.Kind {
 	case RuleRateMin, RuleRateMax:
 		delta, dt, ok := m.sampler.FamilyDelta(r.Series, int(r.Window))
@@ -219,10 +218,6 @@ func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value floa
 		}
 		return true, rate, rate > r.Threshold
 	case RuleGaugeMax:
-		if reg == nil {
-			return false, 0, false
-		}
-		snap := reg.Snapshot()
 		found := false
 		maxV := 0.0
 		for id, v := range snap.Gauges {
@@ -238,20 +233,13 @@ func (m *HealthMonitor) check(r Rule, reg *Registry) (evaluated bool, value floa
 		}
 		return true, maxV, maxV > r.Threshold
 	case RuleQuantileMax:
-		if reg == nil {
-			return false, 0, false
-		}
-		merged, ok := reg.MergedSketch(r.Series)
+		merged, ok := snap.MergedSketch(r.Series)
 		if !ok || merged.Count == 0 {
 			return false, 0, false
 		}
 		v := merged.Quantile(r.Quantile)
 		return true, v, v > r.Threshold
 	case RuleRatioMin:
-		if reg == nil {
-			return false, 0, false
-		}
-		snap := reg.Snapshot()
 		var num, den uint64
 		for id, v := range snap.Counters {
 			switch familyOf(id) {
@@ -313,7 +301,7 @@ func (m *HealthMonitor) recordBreach(ev Evaluation, sample uint64) {
 			families[familyOf(id)] = true
 		}
 		for fam := range families {
-			if merged, ok := m.o.Registry.MergedSketch(fam); ok && merged.Count > 0 {
+			if merged, ok := snap.MergedSketch(fam); ok && merged.Count > 0 {
 				qs := make(map[string]float64, len(SketchQuantiles))
 				for _, q := range SketchQuantiles {
 					qs[percentileName(q)] = merged.Quantile(q)

@@ -112,7 +112,7 @@ func TestHealthAnomalyBundleAndReport(t *testing.T) {
 	reg := tel.Obs.Registry
 	c := reg.Counter("txs_total")
 	sk := reg.Sketch("lat")
-	sp := tel.Obs.Tracer.Start("round", L("i", "1"))
+	sp := tel.Obs.Tracer.NewScope(nil).Start("round", L("i", "1"))
 	sp.End()
 	for i := 0; i < 50; i++ {
 		sk.Observe(0.1)

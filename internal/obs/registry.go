@@ -9,12 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// DefBuckets are the default histogram bucket upper bounds (seconds),
-// the Prometheus defaults: wall-clock scale from 5 ms to 10 s.
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // Counter is a monotonically increasing uint64 metric. The zero value is
 // ready to use; a nil *Counter is a no-op.
@@ -81,66 +76,12 @@ func (g *Gauge) Value() float64 {
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
-// Histogram is a fixed-bucket distribution metric. Observations are
-// counted into the first bucket whose upper bound is >= the value
-// (Prometheus `le` semantics), plus a running sum and count. A nil
-// *Histogram is a no-op.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // ascending upper bounds, +Inf implicit
-	counts []uint64  // len(bounds)+1; last is the +Inf overflow bucket
-	sum    float64
-	count  uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	// SearchFloat64s returns the first i with bounds[i] >= v, which is
-	// exactly the inclusive-upper-bound bucket; v beyond every bound
-	// lands in the +Inf overflow slot.
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.mu.Unlock()
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// HistogramSnapshot is a point-in-time copy of a histogram.
-type HistogramSnapshot struct {
-	Bounds []float64 // upper bounds, +Inf implicit
-	Counts []uint64  // per-bucket (non-cumulative), len(Bounds)+1
-	Sum    float64
-	Count  uint64
-}
-
-// Snapshot copies the current state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-		Count:  h.count,
-	}
-}
-
 // series is one registered metric: a name, a rendered label string and
 // the instrument behind it.
 type series struct {
 	name   string
 	labels string // `k="v",k2="v2"` with keys sorted, "" when unlabeled
-	kind   string // "counter" | "gauge" | "histogram" | "summary"
+	kind   string // "counter" | "gauge" | "summary"
 }
 
 func (s series) id() string {
@@ -180,24 +121,22 @@ func renderLabels(labels []Label) string {
 // Registry holds named metrics. All methods are safe for concurrent use;
 // a nil *Registry hands out nil (no-op) instruments.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	sketches   map[string]*QuantileSketch
-	info       map[string]series // id -> name/labels, shared across kinds
-	help       map[string]string // family name -> HELP text
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	sketches map[string]*QuantileSketch
+	info     map[string]series // id -> name/labels, shared across kinds
+	help     map[string]string // family name -> HELP text
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		sketches:   make(map[string]*QuantileSketch),
-		info:       make(map[string]series),
-		help:       make(map[string]string),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		sketches: make(map[string]*QuantileSketch),
+		info:     make(map[string]series),
+		help:     make(map[string]string),
 	}
 }
 
@@ -250,31 +189,6 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return g
 }
 
-// Histogram returns (creating on first use) the histogram with the given
-// name, bucket upper bounds and labels. A nil buckets slice selects
-// DefBuckets; buckets are fixed at creation and ignored on later calls.
-func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	s := series{name: name, labels: renderLabels(labels), kind: "histogram"}
-	id := s.id()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[id]
-	if !ok {
-		if buckets == nil {
-			buckets = DefBuckets
-		}
-		bounds := append([]float64(nil), buckets...)
-		sort.Float64s(bounds)
-		h = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-		r.histograms[id] = h
-		r.info[id] = s
-	}
-	return h
-}
-
 // Sketch returns (creating on first use) the quantile sketch with the
 // given name and labels. Sketches render as Prometheus summaries (one
 // line per SketchQuantiles entry plus _sum and _count).
@@ -295,34 +209,6 @@ func (r *Registry) Sketch(name string, labels ...Label) *QuantileSketch {
 	return sk
 }
 
-// MergedSketch merges every registered sketch of the given family (the
-// metric name, label sets ignored) into one queryable snapshot — the
-// cross-shard / cross-chain view of a latency distribution. The second
-// return is false when the family has no sketches.
-func (r *Registry) MergedSketch(family string) (SketchSnapshot, bool) {
-	if r == nil {
-		return SketchSnapshot{}, false
-	}
-	r.mu.Lock()
-	parts := make([]*QuantileSketch, 0, 4)
-	for id, sk := range r.sketches {
-		if familyOf(id) == family {
-			parts = append(parts, sk)
-		}
-	}
-	r.mu.Unlock()
-	if len(parts) == 0 {
-		return SketchSnapshot{}, false
-	}
-	merged := NewQuantileSketch()
-	for _, sk := range parts {
-		// Same package-default layout everywhere; a mismatch is impossible
-		// for registry-created sketches.
-		_ = merged.Merge(sk)
-	}
-	return merged.Snapshot(), true
-}
-
 // familyOf strips the label set from a series id: `name{labels}` -> name.
 func familyOf(id string) string {
 	if i := strings.IndexByte(id, '{'); i >= 0 {
@@ -334,19 +220,17 @@ func familyOf(id string) string {
 // Snapshot captures every metric's current value, keyed by series id
 // (`name{labels}`).
 type Snapshot struct {
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
-	Sketches   map[string]SketchSnapshot
+	Counters map[string]uint64
+	Gauges   map[string]float64
+	Sketches map[string]SketchSnapshot
 }
 
 // Snapshot reads all metrics at once.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Counters:   make(map[string]uint64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-		Sketches:   make(map[string]SketchSnapshot),
+		Counters: make(map[string]uint64),
+		Gauges:   make(map[string]float64),
+		Sketches: make(map[string]SketchSnapshot),
 	}
 	if r == nil {
 		return s
@@ -360,10 +244,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for id, g := range r.gauges {
 		gauges[id] = g
 	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for id, h := range r.histograms {
-		hists[id] = h
-	}
 	sketches := make(map[string]*QuantileSketch, len(r.sketches))
 	for id, sk := range r.sketches {
 		sketches[id] = sk
@@ -375,121 +255,38 @@ func (r *Registry) Snapshot() *Snapshot {
 	for id, g := range gauges {
 		s.Gauges[id] = g.Value()
 	}
-	for id, h := range hists {
-		s.Histograms[id] = h.Snapshot()
-	}
 	for id, sk := range sketches {
 		s.Sketches[id] = sk.Snapshot()
 	}
 	return s
 }
 
-// Diff returns the change from earlier to s: counter and histogram/sketch
-// counts and sums are subtracted; gauges keep their latest value. Series
-// churn is handled conservatively: a series absent from the earlier
-// snapshot counts from zero, a series absent from the later snapshot is
-// dropped (it no longer exists to report on), and a series whose
-// cumulative state went backwards — a registry swap or a histogram whose
-// bucket layout drifted — is treated as freshly started rather than
-// underflowing uint64 arithmetic into garbage deltas.
-func (s *Snapshot) Diff(earlier *Snapshot) *Snapshot {
-	out := &Snapshot{
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-		Sketches:   make(map[string]SketchSnapshot, len(s.Sketches)),
-	}
-	for id, v := range s.Counters {
-		prev := uint64(0)
-		if earlier != nil {
-			prev = earlier.Counters[id]
-		}
-		if prev > v {
-			// Counter went backwards: the instrument restarted. Count from
-			// zero, Prometheus rate() style, instead of wrapping.
-			prev = 0
-		}
-		out.Counters[id] = v - prev
-	}
-	for id, v := range s.Gauges {
-		out.Gauges[id] = v
-	}
-	for id, h := range s.Histograms {
-		d := HistogramSnapshot{
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: append([]uint64(nil), h.Counts...),
-			Sum:    h.Sum,
-			Count:  h.Count,
-		}
-		if earlier != nil {
-			if prev, ok := earlier.Histograms[id]; ok && subtractableHistogram(prev, h) {
-				for i := range d.Counts {
-					d.Counts[i] -= prev.Counts[i]
-				}
-				d.Sum -= prev.Sum
-				d.Count -= prev.Count
-			}
-		}
-		out.Histograms[id] = d
-	}
+// MergedSketch merges every sketch of the given family (the metric name,
+// label sets ignored) into one queryable snapshot — the cross-shard /
+// cross-chain view of a latency distribution. The second return is false
+// when the family has no sketches.
+func (s *Snapshot) MergedSketch(family string) (SketchSnapshot, bool) {
+	var parts []SketchSnapshot
 	for id, sk := range s.Sketches {
-		d := SketchSnapshot{
-			Gamma: sk.Gamma, MinIndex: sk.MinIndex,
-			Counts: append([]uint64(nil), sk.Counts...),
-			Count:  sk.Count, SumNanos: sk.SumNanos,
-			// Min/Max are not diffable; keep the cumulative extremes.
-			Min: sk.Min, Max: sk.Max,
-		}
-		if earlier != nil {
-			if prev, ok := earlier.Sketches[id]; ok && subtractableSketch(prev, sk) {
-				for i := range d.Counts {
-					d.Counts[i] -= prev.Counts[i]
-				}
-				d.Count -= prev.Count
-				d.SumNanos -= prev.SumNanos
-			}
-		}
-		out.Sketches[id] = d
-	}
-	return out
-}
-
-// subtractableHistogram reports whether prev can be subtracted from cur:
-// identical bucket layout (bounds, not just length — a same-length layout
-// drift would silently misattribute counts) and monotonic counts.
-func subtractableHistogram(prev, cur HistogramSnapshot) bool {
-	if len(prev.Bounds) != len(cur.Bounds) || len(prev.Counts) != len(cur.Counts) {
-		return false
-	}
-	for i := range prev.Bounds {
-		if prev.Bounds[i] != cur.Bounds[i] {
-			return false
+		if familyOf(id) == family {
+			parts = append(parts, sk)
 		}
 	}
-	if prev.Count > cur.Count {
-		return false
+	switch len(parts) {
+	case 0:
+		return SketchSnapshot{}, false
+	case 1:
+		// A snapshot is already the merge of itself; skip the full-layout
+		// scratch sketch.
+		return parts[0], true
 	}
-	for i := range prev.Counts {
-		if prev.Counts[i] > cur.Counts[i] {
-			return false
-		}
+	merged := NewQuantileSketch()
+	for _, sk := range parts {
+		// Same package-default layout everywhere; a mismatch is impossible
+		// for registry-created sketches.
+		_ = merged.MergeSnapshot(sk)
 	}
-	return true
-}
-
-// subtractableSketch is the sketch analogue of subtractableHistogram.
-func subtractableSketch(prev, cur SketchSnapshot) bool {
-	if prev.Gamma != cur.Gamma || prev.MinIndex != cur.MinIndex ||
-		len(prev.Counts) != len(cur.Counts) ||
-		prev.Count > cur.Count || prev.SumNanos > cur.SumNanos {
-		return false
-	}
-	for i := range prev.Counts {
-		if prev.Counts[i] > cur.Counts[i] {
-			return false
-		}
-	}
-	return true
+	return merged.Snapshot(), true
 }
 
 // WriteText renders the registry in the Prometheus text exposition
@@ -550,10 +347,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "%s %s\n", ln.id, formatFloat(snap.Gauges[ln.id])); err != nil {
 				return err
 			}
-		case "histogram":
-			if err := writeHistogramText(w, ln.name, ln.labels, snap.Histograms[ln.id]); err != nil {
-				return err
-			}
 		case "summary":
 			if err := writeSummaryText(w, ln.name, ln.labels, snap.Sketches[ln.id]); err != nil {
 				return err
@@ -585,34 +378,11 @@ func writeSummaryText(w io.Writer, name, labels string, s SketchSnapshot) error 
 	return err
 }
 
-func writeHistogramText(w io.Writer, name, labels string, h HistogramSnapshot) error {
-	cum := uint64(0)
-	for i, b := range h.Bounds {
-		cum += h.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, joinLabels(labels, `le="`+formatFloat(b)+`"`), cum); err != nil {
-			return err
-		}
-	}
-	if len(h.Counts) > 0 {
-		cum += h.Counts[len(h.Counts)-1]
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, joinLabels(labels, `le="+Inf"`), cum); err != nil {
-		return err
-	}
-	sum := series{name: name + "_sum", labels: labels}
-	count := series{name: name + "_count", labels: labels}
-	if _, err := fmt.Fprintf(w, "%s %s\n", sum.id(), formatFloat(h.Sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %d\n", count.id(), h.Count)
-	return err
-}
-
-func joinLabels(labels, le string) string {
+func joinLabels(labels, extra string) string {
 	if labels == "" {
-		return le
+		return extra
 	}
-	return labels + "," + le
+	return labels + "," + extra
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

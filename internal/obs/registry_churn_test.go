@@ -75,96 +75,14 @@ func TestMergedSketchAcrossLabelSets(t *testing.T) {
 	r := NewRegistry()
 	r.Sketch("lat", L("shard", "0")).Observe(1)
 	r.Sketch("lat", L("shard", "1")).Observe(100)
-	merged, ok := r.MergedSketch("lat")
+	merged, ok := r.Snapshot().MergedSketch("lat")
 	if !ok || merged.Count != 2 {
 		t.Fatalf("merged = %+v, %v; want both shards", merged, ok)
 	}
 	if merged.Min != 1 || merged.Max != 100 {
 		t.Errorf("merged extremes = %v/%v, want 1/100", merged.Min, merged.Max)
 	}
-	if _, ok := r.MergedSketch("missing"); ok {
+	if _, ok := r.Snapshot().MergedSketch("missing"); ok {
 		t.Error("MergedSketch of an absent family reported ok")
-	}
-}
-
-// TestSnapshotDiffSeriesChurn covers the churn cases Diff must survive:
-// series born between the snapshots, series gone by the later snapshot,
-// counter resets, histogram bucket-layout drift and non-monotonic counts.
-func TestSnapshotDiffSeriesChurn(t *testing.T) {
-	// Series only in the later snapshot: counts from zero.
-	later := &Snapshot{
-		Counters:   map[string]uint64{"new_total": 7},
-		Gauges:     map[string]float64{"g": 1},
-		Histograms: map[string]HistogramSnapshot{"h": {Bounds: []float64{1}, Counts: []uint64{2, 1}, Sum: 3, Count: 3}},
-		Sketches:   map[string]SketchSnapshot{},
-	}
-	d := later.Diff(&Snapshot{Counters: map[string]uint64{}, Histograms: map[string]HistogramSnapshot{}})
-	if d.Counters["new_total"] != 7 || d.Histograms["h"].Count != 3 {
-		t.Errorf("fresh series should count from zero: %+v", d)
-	}
-
-	// Series only in the earlier snapshot: dropped, not resurrected.
-	gone := &Snapshot{Counters: map[string]uint64{}}
-	d = gone.Diff(later)
-	if _, ok := d.Counters["new_total"]; ok {
-		t.Error("vanished series resurrected in the diff")
-	}
-
-	// Counter reset: earlier value above the later one counts from zero.
-	cur := &Snapshot{Counters: map[string]uint64{"c": 3}}
-	d = cur.Diff(&Snapshot{Counters: map[string]uint64{"c": 100}})
-	if d.Counters["c"] != 3 {
-		t.Errorf("reset counter diff = %d, want 3 (not a uint64 wrap)", d.Counters["c"])
-	}
-
-	// Histogram bucket-layout drift: same series id, different bounds.
-	// Subtracting positionally would misattribute counts; the diff must
-	// fall back to counting from zero.
-	curH := &Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Bounds: []float64{1, 10}, Counts: []uint64{5, 2, 1}, Sum: 20, Count: 8},
-	}}
-	prevH := &Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Bounds: []float64{1, 5}, Counts: []uint64{3, 1, 0}, Sum: 5, Count: 4},
-	}}
-	d = curH.Diff(prevH)
-	if got := d.Histograms["h"]; got.Count != 8 || got.Sum != 20 {
-		t.Errorf("layout-drift diff = %+v, want the full later state", got)
-	}
-
-	// Non-monotonic histogram (restarted instrument): from zero, no wrap.
-	prevBig := &Snapshot{Histograms: map[string]HistogramSnapshot{
-		"h": {Bounds: []float64{1, 10}, Counts: []uint64{50, 20, 10}, Sum: 200, Count: 80},
-	}}
-	d = curH.Diff(prevBig)
-	if got := d.Histograms["h"]; got.Count != 8 || got.Counts[0] != 5 {
-		t.Errorf("restarted-histogram diff = %+v, want the full later state", got)
-	}
-
-	// Sketch churn mirrors histograms: layout mismatch and regressions
-	// fall back to the later state, Min/Max stay the cumulative extremes.
-	skCur := NewQuantileSketch()
-	skCur.Observe(1)
-	skCur.Observe(2)
-	curS := &Snapshot{Sketches: map[string]SketchSnapshot{"s": skCur.Snapshot()}}
-	badPrev := &Snapshot{Sketches: map[string]SketchSnapshot{
-		"s": {Gamma: 2, MinIndex: 0, Counts: []uint64{1}, Count: 1, SumNanos: 1},
-	}}
-	d = curS.Diff(badPrev)
-	if got := d.Sketches["s"]; got.Count != 2 || got.Min != 1 || got.Max != 2 {
-		t.Errorf("sketch layout-drift diff = %+v, want the full later state", got)
-	}
-	skPrev := NewQuantileSketch()
-	skPrev.Observe(1)
-	prevS := &Snapshot{Sketches: map[string]SketchSnapshot{"s": skPrev.Snapshot()}}
-	d = curS.Diff(prevS)
-	if got := d.Sketches["s"]; got.Count != 1 {
-		t.Errorf("sketch diff count = %d, want 1", got.Count)
-	}
-
-	// Diff against nil stays total, and Diff must never panic on any of
-	// the above even with empty maps.
-	d = later.Diff(nil)
-	if d.Counters["new_total"] != 7 {
-		t.Errorf("Diff(nil) = %+v, want the full state", d)
 	}
 }

@@ -33,49 +33,22 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
-	r.Histogram("z", nil).Observe(1)
+	r.Sketch("z").Observe(1)
 	if txt := r.Text(); txt != "" {
 		t.Fatalf("nil registry text = %q, want empty", txt)
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Sketches) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 	var c *Counter
 	c.Inc() // must not panic
 	var g *Gauge
 	g.Add(1)
-	var h *Histogram
-	h.Observe(1)
-}
-
-func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 2.5, 5})
-	// Upper bounds are inclusive (Prometheus `le` semantics).
-	for _, v := range []float64{0.5, 1.0} { // both land in le=1
-		h.Observe(v)
-	}
-	h.Observe(1.0000001) // le=2.5
-	h.Observe(2.5)       // le=2.5
-	h.Observe(5.0)       // le=5
-	h.Observe(100)       // +Inf overflow
-
-	s := h.Snapshot()
-	wantCounts := []uint64{2, 2, 1, 1}
-	if len(s.Counts) != len(wantCounts) {
-		t.Fatalf("bucket count = %d, want %d", len(s.Counts), len(wantCounts))
-	}
-	for i, want := range wantCounts {
-		if s.Counts[i] != want {
-			t.Errorf("bucket %d = %d, want %d", i, s.Counts[i], want)
-		}
-	}
-	if s.Count != 6 {
-		t.Errorf("count = %d, want 6", s.Count)
-	}
-	if want := 0.5 + 1 + 1.0000001 + 2.5 + 5 + 100; s.Sum != want {
-		t.Errorf("sum = %v, want %v", s.Sum, want)
+	var sk *QuantileSketch
+	sk.Observe(1)
+	if sk.Count() != 0 {
+		t.Fatal("nil sketch must count nothing")
 	}
 }
 
@@ -84,10 +57,14 @@ func TestExpositionGolden(t *testing.T) {
 	r.Counter("blocks_total", L("chain", "goerli")).Add(3)
 	r.Counter("blocks_total", L("chain", "algorand")).Add(7)
 	r.Gauge("base_fee_wei").Set(1.5e9)
-	h := r.Histogram("latency_seconds", []float64{1, 5})
-	h.Observe(0.5)
-	h.Observe(3)
-	h.Observe(30)
+	// Identical observations make every quantile exact (the estimate is
+	// clamped to the observed extremes), so the golden needs no
+	// sketch-accuracy tolerance; the empty series pins the NaN rendering.
+	sk := r.Sketch("latency_seconds", L("op", "attach"))
+	for i := 0; i < 3; i++ {
+		sk.Observe(2.5)
+	}
+	r.Sketch("latency_seconds", L("op", "deploy"))
 
 	want := strings.Join([]string{
 		`# TYPE base_fee_wei gauge`,
@@ -95,43 +72,22 @@ func TestExpositionGolden(t *testing.T) {
 		`# TYPE blocks_total counter`,
 		`blocks_total{chain="algorand"} 7`,
 		`blocks_total{chain="goerli"} 3`,
-		`# TYPE latency_seconds histogram`,
-		`latency_seconds_bucket{le="1"} 1`,
-		`latency_seconds_bucket{le="5"} 2`,
-		`latency_seconds_bucket{le="+Inf"} 3`,
-		`latency_seconds_sum 33.5`,
-		`latency_seconds_count 3`,
+		`# TYPE latency_seconds summary`,
+		`latency_seconds{op="attach",quantile="0.5"} 2.5`,
+		`latency_seconds{op="attach",quantile="0.9"} 2.5`,
+		`latency_seconds{op="attach",quantile="0.99"} 2.5`,
+		`latency_seconds{op="attach",quantile="0.999"} 2.5`,
+		`latency_seconds_sum{op="attach"} 7.5`,
+		`latency_seconds_count{op="attach"} 3`,
+		`latency_seconds{op="deploy",quantile="0.5"} NaN`,
+		`latency_seconds{op="deploy",quantile="0.9"} NaN`,
+		`latency_seconds{op="deploy",quantile="0.99"} NaN`,
+		`latency_seconds{op="deploy",quantile="0.999"} NaN`,
+		`latency_seconds_sum{op="deploy"} 0`,
+		`latency_seconds_count{op="deploy"} 0`,
 	}, "\n") + "\n"
 	if got := r.Text(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ops_total")
-	h := r.Histogram("lat", []float64{1})
-	c.Add(10)
-	h.Observe(0.5)
-	before := r.Snapshot()
-	c.Add(5)
-	h.Observe(2)
-	h.Observe(0.2)
-	after := r.Snapshot()
-
-	d := after.Diff(before)
-	if got := d.Counters["ops_total"]; got != 5 {
-		t.Errorf("diff counter = %d, want 5", got)
-	}
-	dh := d.Histograms["lat"]
-	if dh.Count != 2 {
-		t.Errorf("diff hist count = %d, want 2", dh.Count)
-	}
-	if dh.Counts[0] != 1 || dh.Counts[1] != 1 {
-		t.Errorf("diff hist buckets = %v, want [1 1]", dh.Counts)
-	}
-	if dh.Sum != 2.2 {
-		t.Errorf("diff hist sum = %v, want 2.2", dh.Sum)
 	}
 }
 
@@ -160,7 +116,7 @@ func TestRegistryConcurrentLabelSets(t *testing.T) {
 				} else {
 					r.Counter("ops_total", L("op", "attach"), L("chain", chain)).Inc()
 				}
-				r.Histogram("lat_seconds", []float64{1, 10}, L("chain", chain)).Observe(1)
+				r.Sketch("lat_seconds", L("chain", chain)).Observe(1)
 			}
 		}(w)
 	}
@@ -170,7 +126,7 @@ func TestRegistryConcurrentLabelSets(t *testing.T) {
 	var totalLat uint64
 	for _, chain := range chains {
 		totalOps += r.Counter("ops_total", L("chain", chain), L("op", "attach")).Value()
-		totalLat += r.Histogram("lat_seconds", nil, L("chain", chain)).Snapshot().Count
+		totalLat += r.Sketch("lat_seconds", L("chain", chain)).Count()
 	}
 	if want := uint64(workers * perW); totalOps != want {
 		t.Errorf("ops_total across label sets = %d, want %d (split series?)", totalOps, want)
@@ -189,7 +145,7 @@ func TestRegistryConcurrentLabelSets(t *testing.T) {
 }
 
 // TestRegistryConcurrency hammers one registry from many goroutines —
-// metric creation, counter increments, gauge updates and histogram
+// metric creation, counter increments, gauge updates and sketch
 // observations — and checks exact totals. Run under -race.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
@@ -205,7 +161,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("mine_total", L("g", string(rune('a'+id)))).Inc()
 				r.Gauge("depth").Set(float64(i))
 				r.Gauge("acc").Add(1)
-				r.Histogram("lat", []float64{1, 10}).Observe(float64(i % 20))
+				r.Sketch("lat").Observe(float64(i % 20))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 					_ = r.Text()
@@ -221,9 +177,14 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Gauge("acc").Value(); got != goroutines*perG {
 		t.Errorf("gauge acc = %v, want %d", got, goroutines*perG)
 	}
-	s := r.Histogram("lat", nil).Snapshot()
+	s := r.Sketch("lat").Snapshot()
 	if s.Count != goroutines*perG {
-		t.Errorf("histogram count = %d, want %d", s.Count, goroutines*perG)
+		t.Errorf("sketch count = %d, want %d", s.Count, goroutines*perG)
+	}
+	// Σ over 0..19 is 190 per 20 observations, summed exactly in
+	// fixed-point nanounits whatever the interleaving.
+	if want := float64(goroutines * perG / 20 * 190); s.Sum() != want {
+		t.Errorf("sketch sum = %v, want %v", s.Sum(), want)
 	}
 	for g := 0; g < goroutines; g++ {
 		if got := r.Counter("mine_total", L("g", string(rune('a'+g)))).Value(); got != perG {

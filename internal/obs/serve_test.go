@@ -37,7 +37,7 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Help("txs_total", "Transactions.")
 	c := reg.Counter("txs_total")
 	reg.Sketch("lat", L("chain", "x\"y\nz")).Observe(0.5)
-	sp := tel.Obs.Tracer.Start("round")
+	sp := tel.Obs.Tracer.NewScope(nil).Start("round")
 	sp.End()
 	c.Add(3)
 	tel.Tick()

@@ -117,31 +117,24 @@ func (s *QuantileSketch) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (s *QuantileSketch) ObserveDuration(d time.Duration) { s.Observe(d.Seconds()) }
 
-// Merge folds other into s bucket-wise. Both sketches must share a
-// layout; package-constructed sketches always do.
-func (s *QuantileSketch) Merge(other *QuantileSketch) error {
-	if s == nil || other == nil {
-		return nil
-	}
-	return s.MergeSnapshot(other.Snapshot())
-}
-
 // MergeSnapshot folds a point-in-time snapshot into s. Bucket counts,
 // the total count and the fixed-point sum are added; min/max combine by
 // comparison. Every component is commutative and associative, so any
 // merge order over the same set of snapshots yields bit-identical state.
+// Both sides must share a layout; package-constructed sketches always do.
 func (s *QuantileSketch) MergeSnapshot(snap SketchSnapshot) error {
 	if s == nil || snap.Count == 0 && len(snap.Counts) == 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if snap.Gamma != s.gamma || snap.MinIndex != s.minIdx || len(snap.Counts) != len(s.counts) {
-		return fmt.Errorf("obs: cannot merge quantile sketches with different layouts (gamma %v/%v, %d/%d buckets)",
-			snap.Gamma, s.gamma, len(snap.Counts), len(s.counts))
+	off := snap.MinIndex - s.minIdx
+	if snap.Gamma != s.gamma || off < 0 || off+len(snap.Counts) > len(s.counts) {
+		return fmt.Errorf("obs: cannot merge quantile sketches with different layouts (gamma %v/%v, buckets %d..%d outside %d..%d)",
+			snap.Gamma, s.gamma, snap.MinIndex, snap.MinIndex+len(snap.Counts)-1, s.minIdx, s.minIdx+len(s.counts)-1)
 	}
 	for i, c := range snap.Counts {
-		s.counts[i] += c
+		s.counts[off+i] += c
 	}
 	s.count += snap.Count
 	if s.sumNs > math.MaxUint64-snap.SumNanos {
@@ -162,7 +155,9 @@ func (s *QuantileSketch) MergeSnapshot(snap SketchSnapshot) error {
 
 // SketchSnapshot is a point-in-time copy of a sketch. It answers quantile
 // queries itself, so merged or diffed snapshots stay queryable without a
-// live sketch behind them.
+// live sketch behind them. Counts holds only the occupied stretch of the
+// layout: Counts[i] is the bucket with logical index MinIndex+i, so a
+// snapshot costs its few non-empty buckets rather than the full layout.
 type SketchSnapshot struct {
 	Gamma    float64
 	MinIndex int
@@ -173,17 +168,30 @@ type SketchSnapshot struct {
 	Max      float64
 }
 
-// Snapshot copies the current state.
+// Snapshot copies the current state, trimmed to the occupied buckets.
 func (s *QuantileSketch) Snapshot() SketchSnapshot {
 	if s == nil {
 		return SketchSnapshot{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	lo, hi := 0, len(s.counts)
+	for lo < hi && s.counts[lo] == 0 {
+		lo++
+	}
+	for hi > lo && s.counts[hi-1] == 0 {
+		hi--
+	}
+	var counts []uint64
+	if lo < hi {
+		counts = append([]uint64(nil), s.counts[lo:hi]...)
+	} else {
+		lo = 0
+	}
 	return SketchSnapshot{
 		Gamma:    s.gamma,
-		MinIndex: s.minIdx,
-		Counts:   append([]uint64(nil), s.counts...),
+		MinIndex: s.minIdx + lo,
+		Counts:   counts,
 		Count:    s.count,
 		SumNanos: s.sumNs,
 		Min:      s.min,

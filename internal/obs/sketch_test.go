@@ -90,7 +90,7 @@ func TestSketchMergeOrderIndependence(t *testing.T) {
 	for oi, order := range orders {
 		m := NewQuantileSketch()
 		for _, p := range order {
-			if err := m.Merge(parts[p]); err != nil {
+			if err := m.MergeSnapshot(parts[p].Snapshot()); err != nil {
 				t.Fatalf("merge order %v part %d: %v", order, p, err)
 			}
 		}
@@ -109,14 +109,14 @@ func TestSketchMergeOrderIndependence(t *testing.T) {
 	}
 	// Associativity: ((a+b)+c) == (a+(b+c)).
 	ab := NewQuantileSketch()
-	_ = ab.Merge(parts[0])
-	_ = ab.Merge(parts[1])
-	_ = ab.Merge(parts[2])
+	_ = ab.MergeSnapshot(parts[0].Snapshot())
+	_ = ab.MergeSnapshot(parts[1].Snapshot())
+	_ = ab.MergeSnapshot(parts[2].Snapshot())
 	bc := NewQuantileSketch()
-	_ = bc.Merge(parts[1])
-	_ = bc.Merge(parts[2])
+	_ = bc.MergeSnapshot(parts[1].Snapshot())
+	_ = bc.MergeSnapshot(parts[2].Snapshot())
 	a2 := NewQuantileSketch()
-	_ = a2.Merge(parts[0])
+	_ = a2.MergeSnapshot(parts[0].Snapshot())
 	_ = a2.MergeSnapshot(bc.Snapshot())
 	if !reflect.DeepEqual(ab.Snapshot(), a2.Snapshot()) {
 		t.Error("merge is not associative")
@@ -183,5 +183,43 @@ func TestPercentileName(t *testing.T) {
 		if got := percentileName(q); got != want {
 			t.Errorf("percentileName(%v) = %q, want %q", q, got, want)
 		}
+	}
+}
+
+// TestSketchSnapshotTrimmed checks a snapshot carries only the occupied
+// buckets yet answers and merges exactly like the full layout: folding it
+// into an empty sketch reproduces it, and a stretch outside the layout is
+// refused.
+func TestSketchSnapshotTrimmed(t *testing.T) {
+	s := NewQuantileSketch()
+	for _, v := range []float64{0.002, 0.003, 0.050, 0.051} {
+		s.Observe(v)
+	}
+	snap := s.Snapshot()
+	if full := len(NewQuantileSketch().counts); len(snap.Counts) >= full/4 {
+		t.Errorf("snapshot holds %d buckets, want far fewer than the %d-bucket layout", len(snap.Counts), full)
+	}
+	if snap.Counts[0] == 0 || snap.Counts[len(snap.Counts)-1] == 0 {
+		t.Errorf("snapshot edges must be occupied buckets: %v...%v", snap.Counts[0], snap.Counts[len(snap.Counts)-1])
+	}
+	again := NewQuantileSketch()
+	if err := again.MergeSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Snapshot(), snap) {
+		t.Error("merging a trimmed snapshot into an empty sketch must reproduce it")
+	}
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.99} {
+		if got, want := snap.Quantile(q), s.Quantile(q); got != want {
+			t.Errorf("q%v: snapshot %v, live %v", q, got, want)
+		}
+	}
+	if empty := NewQuantileSketch().Snapshot(); len(empty.Counts) != 0 || empty.Count != 0 {
+		t.Errorf("empty sketch snapshot = %+v, want no buckets", empty)
+	}
+	past := snap
+	past.MinIndex = s.minIdx + len(s.counts) - 1
+	if err := again.MergeSnapshot(past); err == nil {
+		t.Error("a snapshot reaching past the layout must not merge")
 	}
 }

@@ -17,8 +17,8 @@ const DefaultSampleCapacity = 1024
 type SamplePoint struct {
 	// T is the sample time in seconds since the sampler's epoch.
 	T float64 `json:"t_seconds"`
-	// V is the sampled value: counter count, gauge value, histogram /
-	// sketch _count or _sum, or a sketch quantile.
+	// V is the sampled value: counter count, gauge value, sketch _count
+	// or _sum, or a sketch quantile.
 	V float64 `json:"v"`
 }
 
@@ -53,9 +53,9 @@ func (h *seriesHistory) ordered() []SamplePoint {
 
 // Sampler turns the registry's cumulative metrics into bounded
 // time-series history: every Sample() snapshots the registry and appends
-// one point per series — counters and gauges directly, histograms and
-// sketches as their _count/_sum (plus p50/p99 for sketches) — into a
-// per-series ring buffer, so a long soak keeps the last N samples of
+// one point per series — counters and gauges directly, sketches as
+// their _count/_sum (plus p50/p99 once they hold an observation) — into
+// a per-series ring buffer, so a long soak keeps the last N samples of
 // every series in fixed memory. Sampling can be driven explicitly (the
 // soak harness ticks once per round) or on a wall-clock interval via
 // Start; both may run at once, they just interleave points.
@@ -68,6 +68,7 @@ type Sampler struct {
 	epoch    time.Time
 	series   map[string]*seriesHistory
 	samples  uint64
+	last     *Snapshot // the registry snapshot the latest Sample took
 
 	stop chan struct{}
 	done chan struct{}
@@ -118,15 +119,12 @@ func (s *Sampler) Sample() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.samples++
+	s.last = snap
 	for id, v := range snap.Counters {
 		s.record(id, "counter", t, float64(v))
 	}
 	for id, v := range snap.Gauges {
 		s.record(id, "gauge", t, v)
-	}
-	for id, h := range snap.Histograms {
-		s.record(idWithSuffix(id, "_count"), "counter", t, float64(h.Count))
-		s.record(idWithSuffix(id, "_sum"), "counter", t, h.Sum)
 	}
 	for id, sk := range snap.Sketches {
 		s.record(idWithSuffix(id, "_count"), "counter", t, float64(sk.Count))
@@ -145,6 +143,17 @@ func (s *Sampler) record(id, kind string, t, v float64) {
 		s.series[id] = h
 	}
 	h.push(SamplePoint{T: t, V: v}, s.capacity)
+}
+
+// latest returns the registry snapshot the most recent Sample took, or
+// nil before the first.
+func (s *Sampler) latest() *Snapshot {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.last
 }
 
 // Start begins sampling on a wall-clock interval in a background

@@ -7,16 +7,45 @@ import (
 	"testing"
 )
 
+func TestSpanDoubleEnd(t *testing.T) {
+	tr := NewTracer(8)
+	sc := tr.NewScope(nil)
+	root := sc.Start("root")
+	c := sc.Start("worker", L("i", "0"))
+	if c.ParentID != root.ID {
+		t.Fatalf("child parent = %d, want %d", c.ParentID, root.ID)
+	}
+	d1 := c.End()
+	d2 := c.End() // second End must be a no-op returning the same duration
+	if d1 != d2 {
+		t.Errorf("double End changed duration: %v != %v", d1, d2)
+	}
+	// The second End must not pop the scope past the child's parent.
+	next := sc.Start("next")
+	if next.ParentID != root.ID {
+		t.Errorf("span after a double End parented under %d, want root %d", next.ParentID, root.ID)
+	}
+	next.End()
+	root.End()
+	if got := len(tr.Spans()); got != 3 {
+		t.Errorf("spans = %d, want 3 (double End must not re-record)", got)
+	}
+}
+
+// TestSpanParentChildNesting checks a scope's stack: a Start between
+// another span's Start and End becomes its child, and ending a span makes
+// its parent current again.
 func TestSpanParentChildNesting(t *testing.T) {
 	tr := NewTracer(64)
-	root := tr.Start("pipeline")
-	child := tr.Start("lookup") // implicit child of root
-	grand := tr.Start("hop")    // implicit child of lookup
+	sc := tr.NewScope(nil)
+	root := sc.Start("pipeline")
+	child := sc.Start("lookup") // child of root
+	grand := sc.Start("hop")    // child of lookup
 	grand.End()
-	sibling := tr.Start("hop") // back under lookup after grand ended
+	sibling := sc.Start("hop") // back under lookup after grand ended
 	sibling.End()
 	child.End()
-	after := tr.Start("submit") // under root again
+	after := sc.Start("submit") // under root again
 	after.End()
 	root.End()
 
@@ -49,29 +78,13 @@ func TestSpanParentChildNesting(t *testing.T) {
 	}
 }
 
-func TestSpanExplicitChildAndDoubleEnd(t *testing.T) {
-	tr := NewTracer(8)
-	root := tr.Start("root")
-	c := root.StartChild("worker", L("i", "0"))
-	if c.ParentID != root.ID {
-		t.Fatalf("explicit child parent = %d, want %d", c.ParentID, root.ID)
-	}
-	d1 := c.End()
-	d2 := c.End() // second End must be a no-op returning the same duration
-	if d1 != d2 {
-		t.Errorf("double End changed duration: %v != %v", d1, d2)
-	}
-	root.End()
-	if got := len(tr.Spans()); got != 2 {
-		t.Errorf("spans = %d, want 2 (double End must not re-record)", got)
-	}
-}
-
-// TestScopeNesting checks a Scope reproduces the implicit stack's
-// nesting behaviour without ever touching the tracer's current span.
+// TestScopeNesting checks two scopes on one tracer keep separate stacks:
+// a span open in one scope never becomes the parent of spans started in
+// the other, and the other scope's pushes and pops leave it current.
 func TestScopeNesting(t *testing.T) {
 	tr := NewTracer(64)
-	outer := tr.Start("outer") // implicit stack, must stay untouched
+	outerScope := tr.NewScope(nil)
+	outer := outerScope.Start("outer") // stays open across the other scope
 
 	sc := tr.NewScope(nil)
 	root := sc.Start("pipeline")
@@ -86,19 +99,19 @@ func TestScopeNesting(t *testing.T) {
 	root.End()
 
 	if root.ParentID != 0 {
-		t.Errorf("scope root parent = %d, want 0 (scopes must ignore the implicit stack)", root.ParentID)
+		t.Errorf("scope root parent = %d, want 0 (scopes must ignore each other's stacks)", root.ParentID)
 	}
 	if child.ParentID != root.ID || grand.ParentID != child.ID ||
 		sibling.ParentID != child.ID || after.ParentID != root.ID {
 		t.Errorf("scope nesting broken: child→%d grand→%d sibling→%d after→%d",
 			child.ParentID, grand.ParentID, sibling.ParentID, after.ParentID)
 	}
-	// The implicit stack must still see outer as current.
-	implicitChild := tr.Start("implicit")
-	if implicitChild.ParentID != outer.ID {
-		t.Errorf("implicit span parent = %d, want outer %d", implicitChild.ParentID, outer.ID)
+	// The first scope must still see outer as current.
+	inner := outerScope.Start("inner")
+	if inner.ParentID != outer.ID {
+		t.Errorf("inner span parent = %d, want outer %d", inner.ParentID, outer.ID)
 	}
-	implicitChild.End()
+	inner.End()
 	outer.End()
 }
 
@@ -202,8 +215,9 @@ func TestNilScope(t *testing.T) {
 
 func TestTracerRingBuffer(t *testing.T) {
 	tr := NewTracer(3)
+	sc := tr.NewScope(nil)
 	for i := 0; i < 5; i++ {
-		tr.Start("s").End()
+		sc.Start("s").End()
 	}
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -222,7 +236,7 @@ func TestTracerRingBuffer(t *testing.T) {
 
 func TestNilTracerAndSpan(t *testing.T) {
 	var tr *Tracer
-	s := tr.Start("x")
+	s := tr.NewScope(nil).Start("x")
 	if s != nil {
 		t.Fatal("nil tracer must return nil span")
 	}
@@ -230,18 +244,19 @@ func TestNilTracerAndSpan(t *testing.T) {
 	if d := s.End(); d != 0 {
 		t.Errorf("nil span End = %v, want 0", d)
 	}
-	if c := s.StartChild("y"); c != nil {
-		t.Error("nil span StartChild must return nil")
-	}
 	if tr.Spans() != nil {
 		t.Error("nil tracer Spans must be nil")
+	}
+	if tr.Dropped() != 0 {
+		t.Error("nil tracer Dropped must be 0")
 	}
 }
 
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer(16)
-	root := tr.Start("pol.submit_proof", L("olc", "7H369F4W+Q8"))
-	lookup := tr.Start("pol.discover")
+	sc := tr.NewScope(nil)
+	root := sc.Start("pol.submit_proof", L("olc", "7H369F4W+Q8"))
+	lookup := sc.Start("pol.discover")
 	lookup.End()
 	root.End()
 

@@ -199,9 +199,9 @@ func TestUserErrorEndsSpan(t *testing.T) {
 	}
 
 	// Subsequent spans must not orphan under the dead span: a fresh
-	// implicit span must be a root, and a whole follow-up experiment on
+	// scope's span must be a root, and a whole follow-up experiment on
 	// the same bundle must root and nest cleanly.
-	probe := o.Tracer.Start("probe")
+	probe := o.Tracer.NewScope(nil).Start("probe")
 	if probe.ParentID != 0 {
 		t.Fatalf("span after the failure parented under %d, want root", probe.ParentID)
 	}
@@ -230,8 +230,8 @@ func TestUserErrorEndsSpan(t *testing.T) {
 }
 
 // TestRunWithVerifyObservedInstruments checks that Execute with Verify
-// and Obs set rides the shared collection path: the PR-1 spans and
-// histograms show up, including the verification phase's.
+// and Obs set rides the shared collection path: the spans and latency
+// sketches show up, including the verification phase's.
 func TestRunWithVerifyObservedInstruments(t *testing.T) {
 	o := obs.New()
 	r, err := Execute(Spec{Chain: ChainAlgorand, Users: 8, Seed: 7, Obs: o, Verify: true})
@@ -258,6 +258,8 @@ func TestRunWithVerifyObservedInstruments(t *testing.T) {
 	for _, want := range []string{
 		`core_chain_op_latency_seconds_count{op="verify"} 8`,
 		`core_chain_op_latency_seconds_count{op="attach"} 6`,
+		`core_phase_duration_seconds_count{phase="verify"} 8`,
+		`core_hypercube_hops_count 8`,
 		`core_verifications_total{result="accepted"} 8`,
 	} {
 		if !strings.Contains(text, want) {

@@ -136,28 +136,6 @@ func multiSoakSeed(seed uint64, name ChainName) uint64 {
 	return chain.NewRand(seed).Fork("multisoak:" + string(name)).Uint64()
 }
 
-// multiSoakHandle derives the contract handle area localIdx will have on
-// its backend, without running the deployment: EVM contract addresses are
-// a pure function of the deployer key (first draw of the backend's soak
-// key stream) and the sequential nonce, and Algorand app ids are pinned to
-// 1..Areas by the deployer. The discovery phase publishes these derived
-// handles; the backend soaks later deploy the real contracts at exactly
-// these identities.
-func multiSoakHandle(name ChainName, seed uint64, localIdx int) (*core.Handle, error) {
-	switch name {
-	case ChainRopsten, ChainGoerli, ChainPolygon:
-		deployer := soakAccountEVM(soakKeyStream(seed))
-		return &core.Handle{
-			Connector: string(name),
-			EVMAddr:   chain.ContractAddress(deployer.Address, uint64(localIdx)),
-		}, nil
-	case ChainAlgorand:
-		return &core.Handle{Connector: string(name), AppID: uint64(localIdx) + 1}, nil
-	default:
-		return nil, fmt.Errorf("sim: unknown chain %q", name)
-	}
-}
-
 // runMultiDiscovery is the pre-load discovery phase: publish every area's
 // handle into one hypercube in both flat and sharded placement, then have
 // every user resolve their home area in both modes and check the handles
@@ -183,13 +161,16 @@ func runMultiDiscovery(spec MultiSoakSpec, seeds []uint64) (DiscoveryReport, err
 		FlatEquivalent:  true,
 	}
 	mask := uint64(1)<<uint(sys.R) - 1
+	handles := make([]func(int) *core.Handle, len(spec.Chains))
+	for b, name := range spec.Chains {
+		if handles[b], err = soakHandles(name, seeds[b]); err != nil {
+			return rep, err
+		}
+	}
 	codes := make([]string, spec.Areas)
 	for i := 0; i < spec.Areas; i++ {
 		b := i % len(spec.Chains)
-		h, err := multiSoakHandle(spec.Chains[b], seeds[b], i/len(spec.Chains))
-		if err != nil {
-			return rep, err
-		}
+		h := handles[b](i / len(spec.Chains))
 		codes[i] = multiSoakAreaCode(i)
 		if err := reg.Register(codes[i], h); err != nil {
 			return rep, err

@@ -164,22 +164,22 @@ func TestMultiSoakAreaCodesAreValidOLC(t *testing.T) {
 // sequential Algorand app ids).
 func TestMultiSoakHandleMatchesDeployment(t *testing.T) {
 	seed := multiSoakSeed(42, ChainGoerli)
-	h, err := multiSoakHandle(ChainGoerli, seed, 3)
+	evm, err := soakHandles(ChainGoerli, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deployer := soakAccountEVM(soakKeyStream(seed))
-	if want := chain.ContractAddress(deployer.Address, 3); h.EVMAddr != want {
+	if h, want := evm(3), chain.ContractAddress(deployer.Address, 3); h.EVMAddr != want {
 		t.Fatalf("derived addr %x, deployment would use %x", h.EVMAddr, want)
 	}
-	ha, err := multiSoakHandle(ChainAlgorand, seed, 3)
+	algo, err := soakHandles(ChainAlgorand, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ha.AppID != 4 {
+	if ha := algo(3); ha.AppID != 4 {
 		t.Fatalf("derived app id %d, sequential deployment would use 4", ha.AppID)
 	}
-	if _, err := multiSoakHandle(ChainName("nope"), seed, 0); err == nil {
+	if _, err := soakHandles(ChainName("nope"), seed); err == nil {
 		t.Fatal("unknown chain must not derive a handle")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // InstrumentConnector attaches an observability bundle to the connector's
-// underlying chain: metrics and logging for both families, plus the
-// matching VM opcode profiler (EVM gas, AVM budget). A nil bundle or an
+// underlying chain: metrics for both families, plus the matching VM
+// opcode profiler (EVM gas, AVM budget). A nil bundle or an
 // unknown connector type is a no-op.
 func InstrumentConnector(conn core.Connector, o *obs.Obs) {
 	if o == nil {
@@ -17,9 +17,9 @@ func InstrumentConnector(conn core.Connector, o *obs.Obs) {
 	}
 	switch c := conn.(type) {
 	case *core.EVMConnector:
-		c.Chain().Instrument(o.Registry, o.EVMProfile, o.Logger)
+		c.Chain().Instrument(o.Registry, o.EVMProfile)
 	case *core.AlgorandConnector:
-		c.Chain().Instrument(o.Registry, o.AVMProfile, o.Logger)
+		c.Chain().Instrument(o.Registry, o.AVMProfile)
 	}
 }
 
@@ -44,9 +44,9 @@ func DefaultSLORules() []obs.Rule {
 		// a minute; five simulated minutes of p99 means sustained
 		// congestion or a fault storm.
 		{Name: "eth_tail_latency_ceiling", Kind: obs.RuleQuantileMax,
-			Series: "eth_inclusion_latency", Quantile: 0.99, Threshold: 300, Grace: 2},
+			Series: "eth_inclusion_latency_seconds", Quantile: 0.99, Threshold: 300, Grace: 2},
 		{Name: "algorand_tail_latency_ceiling", Kind: obs.RuleQuantileMax,
-			Series: "algorand_inclusion_latency", Quantile: 0.99, Threshold: 120, Grace: 2},
+			Series: "algorand_inclusion_latency_seconds", Quantile: 0.99, Threshold: 120, Grace: 2},
 		// Rejection ceiling: the soak workload is valid by construction,
 		// so any rejected group is an anomaly worth a flight record.
 		{Name: "rejection_ceiling", Kind: obs.RuleRateMax,

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -26,24 +28,35 @@ func timeRun(tb testing.TB, o *obs.Obs) time.Duration {
 // checks — so comparing against the instrumented run gives a stable
 // direction: if the nil path ever exceeded instrumented wall time by more
 // than the 5% noise allowance, the "observability off costs nothing"
-// claim would be broken. Min-of-N damps scheduler noise.
+// claim would be broken. One ~20 ms run varies by more than 5% on a busy
+// host, so the test judges the median of many back-to-back pairs, each
+// starting from a collected heap, with the order inside a pair
+// alternating so host drift favours neither side.
 func TestNoOpObservabilityOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")
 	}
-	const rounds = 4
-	minNoop, minObs := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < rounds; i++ {
-		if d := timeRun(t, nil); d < minNoop {
-			minNoop = d
-		}
-		if d := timeRun(t, obs.New()); d < minObs {
-			minObs = d
-		}
+	const pairs = 32
+	run := func(o *obs.Obs) time.Duration {
+		runtime.GC()
+		return timeRun(t, o)
 	}
-	t.Logf("fig 5.2 wall time: no-op %v, instrumented %v", minNoop, minObs)
-	if float64(minNoop) > 1.05*float64(minObs) {
-		t.Errorf("no-op path took %v, more than 5%% over the instrumented %v", minNoop, minObs)
+	ratios := make([]float64, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		var noop, instr time.Duration
+		if i%2 == 0 {
+			noop, instr = run(nil), run(obs.New())
+		} else {
+			instr, noop = run(obs.New()), run(nil)
+		}
+		ratios = append(ratios, float64(noop)/float64(instr))
+	}
+	sort.Float64s(ratios)
+	median := (ratios[pairs/2-1] + ratios[pairs/2]) / 2
+	t.Logf("fig 5.2 wall time, no-op/instrumented over %d pairs: median %.1f%%, range %.1f%%..%.1f%%",
+		pairs, 100*median, 100*ratios[0], 100*ratios[pairs-1])
+	if median > 1.05 {
+		t.Errorf("no-op path took a median %.1f%% of the instrumented wall time, more than 5%% over it", 100*median)
 	}
 }
 

@@ -526,15 +526,20 @@ type evmSoakBackend struct {
 }
 
 // deploy publishes one check-in contract per area through the chain's
-// batched submission path. Sequential deployer nonces keep the deterministic contract addresses
-// computable up front, so handles are registered before the transactions
-// even land. The deployer's key comes from the soak-owned stream and is
-// funded via Fund — proportionally to the area count, since selection
-// reserves maxFee×gasLimit per pending deployment up front.
+// batched submission path. Sequential deployer nonces make the contract
+// addresses soakHandles derives valid up front, so handles are registered
+// before the transactions even land. The deployer's key comes from the
+// soak-owned stream and is funded via Fund — proportionally to the area
+// count, since selection reserves maxFee×gasLimit per pending deployment
+// up front.
 func (b *evmSoakBackend) deploy(spec SoakSpec, reg *core.AreaRegistry) error {
 	c, compiled := b.Chain, b.compiled
 	c.SetRetention(soakRetention)
 	deployer := soakAccountEVM(soakKeyStream(spec.Seed))
+	handle, err := soakHandles(spec.Chain, spec.Seed)
+	if err != nil {
+		return err
+	}
 	c.Fund(deployer.Address, new(big.Int).Mul(big.NewInt(int64(spec.Areas)+100), big.NewInt(1e18)))
 	gasLimit := compiled.Analysis.EVMDeployGas + compiled.Analysis.EVMDeployGas/4
 	tip := big.NewInt(2_000_000_000)
@@ -576,11 +581,8 @@ func (b *evmSoakBackend) deploy(spec SoakSpec, reg *core.AreaRegistry) error {
 				return err
 			}
 		}
-		h := &core.Handle{
-			Connector: b.conn.Name(),
-			EVMAddr:   chain.ContractAddress(deployer.Address, nonce),
-			Compiled:  compiled,
-		}
+		h := handle(i)
+		h.Compiled = compiled
 		if err := reg.Register(area, h); err != nil {
 			return err
 		}
@@ -664,26 +666,33 @@ type algorandSoakBackend struct {
 }
 
 // deploy publishes one check-in application per area through the
-// connector's submit-and-wait path. Sequential creation pins app ids to
-// 1..Areas, which is what lets a resumed run re-derive its registry
-// without replaying the deployment.
+// connector's submit-and-wait path and registers the soakHandles
+// derivation once the created app id matches it: sequential creation
+// pins app ids to 1..Areas, which is what lets a resumed run re-derive
+// its registry without replaying the deployment.
 func (b *algorandSoakBackend) deploy(spec SoakSpec, reg *core.AreaRegistry) error {
 	b.SetRetention(soakRetention)
 	dep := soakAccountAlgorand(soakKeyStream(spec.Seed))
 	b.Fund(dep.Address, 100_000_000+uint64(spec.Areas)*2*algorand.MinFee)
 	deployer := core.AlgorandAccount(dep)
+	handle, err := soakHandles(spec.Chain, spec.Seed)
+	if err != nil {
+		return err
+	}
 	for i := 0; i < spec.Areas; i++ {
 		area := soakAreaCode(i)
-		h, _, err := b.conn.Deploy(deployer, b.compiled, []lang.Value{
+		got, _, err := b.conn.Deploy(deployer, b.compiled, []lang.Value{
 			lang.BytesValue([]byte(area)),
 		})
 		if err != nil {
 			return fmt.Errorf("sim: deploy area %s: %w", area, err)
 		}
-		if h.AppID != uint64(i)+1 {
+		h := handle(i)
+		if got.AppID != h.AppID {
 			return fmt.Errorf("sim: area %s deployed as app %d, want %d (resume derivation relies on sequential ids)",
-				area, h.AppID, i+1)
+				area, got.AppID, h.AppID)
 		}
+		h.Compiled = b.compiled
 		if err := reg.Register(area, h); err != nil {
 			return err
 		}

@@ -173,48 +173,61 @@ func soakAccountAlgorand(rng *chain.Rand) *algorand.Account {
 	return &algorand.Account{Key: kp, Address: chain.AddressFromPublicKey(kp.Public)}
 }
 
+// soakHandles returns the derivation of the contract handle area i of a
+// soak seeded with seed has on the named chain, without running the
+// deployment: EVM contract addresses are a pure function of the deployer
+// key (first draw of the soak key stream) and its sequential nonce, and
+// Algorand app ids are pinned to 1..Areas by sequential creation. The
+// single-chain soak registers these handles at deploy time and when it
+// resumes; the multi-soak's discovery phase publishes them before the
+// backend soaks deploy the real contracts at exactly these identities.
+// The deployer key is derived once per call, not once per area.
+func soakHandles(name ChainName, seed uint64) (func(i int) *core.Handle, error) {
+	switch name {
+	case ChainRopsten, ChainGoerli, ChainPolygon:
+		deployer := soakAccountEVM(soakKeyStream(seed)).Address
+		return func(i int) *core.Handle {
+			return &core.Handle{Connector: string(name), EVMAddr: chain.ContractAddress(deployer, uint64(i))}
+		}, nil
+	case ChainAlgorand:
+		return func(i int) *core.Handle {
+			return &core.Handle{Connector: string(name), AppID: uint64(i) + 1}
+		}, nil
+	default:
+		return nil, fmt.Errorf("sim: unknown chain %q", name)
+	}
+}
+
 // rebuildSoakRegistry reconstructs the area→contract directory of a
-// resumed run without replaying the deployment: contract identities are a
-// pure function of the spec — the i-th EVM contract lives at
-// ContractAddress(deployer, i) because the deployer's nonces were
-// sequential, and the i-th Algorand app is id i+1 because app ids are
-// allocated sequentially from 1. A spot check verifies the derived
-// handles actually exist in the loaded state.
+// resumed run without replaying the deployment: every handle comes from
+// soakHandles. A spot check verifies the derived handles actually exist in
+// the loaded state.
 func rebuildSoakRegistry(spec SoakSpec, conn core.Connector, reg *core.AreaRegistry, compiled *lang.Compiled) error {
-	switch c := conn.(type) {
-	case *core.EVMConnector:
-		deployer := soakAccountEVM(soakKeyStream(spec.Seed))
-		for i := 0; i < spec.Areas; i++ {
-			h := &core.Handle{
-				Connector: conn.Name(),
-				EVMAddr:   chain.ContractAddress(deployer.Address, uint64(i)),
-				Compiled:  compiled,
-			}
-			if err := reg.Register(soakAreaCode(i), h); err != nil {
-				return err
-			}
+	handle, err := soakHandles(spec.Chain, spec.Seed)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < spec.Areas; i++ {
+		h := handle(i)
+		h.Compiled = compiled
+		if err := reg.Register(soakAreaCode(i), h); err != nil {
+			return err
 		}
-		for _, i := range []int{0, spec.Areas - 1} {
-			h, _ := reg.Lookup(soakAreaCode(i))
+	}
+	for _, i := range []int{0, spec.Areas - 1} {
+		h, _ := reg.Lookup(soakAreaCode(i))
+		switch c := conn.(type) {
+		case *core.EVMConnector:
 			if _, ok := c.Chain().ContractCode(h.EVMAddr); !ok {
 				return fmt.Errorf("sim: resumed state holds no contract for area %s at %s", soakAreaCode(i), h.EVMAddr)
 			}
-		}
-	case *core.AlgorandConnector:
-		for i := 0; i < spec.Areas; i++ {
-			h := &core.Handle{Connector: conn.Name(), AppID: uint64(i) + 1, Compiled: compiled}
-			if err := reg.Register(soakAreaCode(i), h); err != nil {
-				return err
-			}
-		}
-		for _, i := range []int{0, spec.Areas - 1} {
-			h, _ := reg.Lookup(soakAreaCode(i))
+		case *core.AlgorandConnector:
 			if _, ok := c.Chain().App(h.AppID); !ok {
 				return fmt.Errorf("sim: resumed state holds no app %d for area %s", h.AppID, soakAreaCode(i))
 			}
+		default:
+			return fmt.Errorf("sim: soak resume does not support connector %T", conn)
 		}
-	default:
-		return fmt.Errorf("sim: soak resume does not support connector %T", conn)
 	}
 	return nil
 }

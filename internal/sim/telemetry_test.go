@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -121,6 +123,50 @@ func TestSoakServeLiveEndpoints(t *testing.T) {
 	}
 }
 
+// TestDefaultSLORulesEvaluateOnSoak runs a short monitored soak on each
+// chain family and requires every rate and quantile rule watching that
+// family to have evaluated by the end. A rule whose Series names no
+// registered family never evaluates and so never fires; this catches it.
+func TestDefaultSLORulesEvaluateOnSoak(t *testing.T) {
+	for _, tc := range []struct {
+		chain  ChainName
+		prefix string
+		want   int
+	}{
+		{ChainGoerli, "eth_", 2},
+		{ChainAlgorand, "algorand_", 3},
+	} {
+		t.Run(string(tc.chain), func(t *testing.T) {
+			o := obs.New()
+			tel := obs.NewTelemetry(o, 0, DefaultSLORules())
+			if _, err := RunSoak(SoakSpec{
+				Chain: tc.chain, Areas: 4, Users: 16, Rounds: 8,
+				Shards: 2, Seed: 7, Obs: o, Telemetry: tel,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			for _, ev := range tel.Health.Report().Rules {
+				switch ev.Rule.Kind {
+				case obs.RuleRateMin, obs.RuleRateMax, obs.RuleQuantileMax:
+				default:
+					continue
+				}
+				if !strings.HasPrefix(ev.Rule.Series, tc.prefix) {
+					continue
+				}
+				checked++
+				if !ev.Evaluated {
+					t.Errorf("rule %s on %s never evaluated", ev.Rule.Name, ev.Rule.Series)
+				}
+			}
+			if checked != tc.want {
+				t.Errorf("checked %d %s* rate/quantile rules, want %d", checked, tc.prefix, tc.want)
+			}
+		})
+	}
+}
+
 // TestFaultStormTripsSLO is the flight-recorder acceptance path: a matrix
 // run under a heavy fault plan must trip an SLO rule, flip the health
 // verdict, and produce a HEALTH_report.json bundle carrying the breaching
@@ -210,36 +256,40 @@ func timeSoak(tb testing.TB, withTelemetry bool) float64 {
 
 // TestTelemetryOverheadOnSoak bounds the per-round sampling cost: soak
 // throughput with the sampler + health monitor ticking every round must
-// stay within 5% of the telemetry-free run. Max-of-N on throughput (the
-// analogue of min-of-N on wall time) damps scheduler noise, and the two
-// configurations alternate order within each repetition so a monotonic
-// drift of the host (thermal throttling, cache warm-up) cannot bias the
-// comparison against whichever ran second.
+// stay within 5% of the telemetry-free run. A single ~0.1 s soak varies
+// by several percent on a busy host, more than the bound allows, so the
+// test runs many back-to-back pairs and judges the median of the
+// per-pair throughput ratios: both runs of a pair see nearly the same
+// host state, the median ignores the pairs a noise burst hit, and the
+// order within a pair alternates so a monotonic drift of the host
+// (thermal throttling, cache warm-up) cannot bias the comparison against
+// whichever ran second. Each run starts from a collected heap so no run
+// pays for the garbage its predecessor left.
 func TestTelemetryOverheadOnSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping timing comparison in -short mode")
 	}
-	const reps = 6
-	baseTPS, telTPS := 0.0, 0.0
-	for i := 0; i < reps; i++ {
-		order := []bool{false, true}
-		if i%2 == 1 {
-			order = []bool{true, false}
-		}
-		for _, withTel := range order {
-			tps := timeSoak(t, withTel)
-			if withTel && tps > telTPS {
-				telTPS = tps
-			}
-			if !withTel && tps > baseTPS {
-				baseTPS = tps
-			}
-		}
+	const pairs = 32
+	run := func(withTel bool) float64 {
+		runtime.GC()
+		return timeSoak(t, withTel)
 	}
-	t.Logf("soak throughput: bare %.0f txs/s, telemetry %.0f txs/s (%.1f%%)",
-		baseTPS, telTPS, 100*telTPS/baseTPS)
-	if telTPS < 0.95*baseTPS {
-		t.Errorf("telemetry run reached %.0f txs/s, more than 5%% below the bare %.0f txs/s", telTPS, baseTPS)
+	ratios := make([]float64, 0, pairs)
+	for i := 0; i < pairs; i++ {
+		var bare, tel float64
+		if i%2 == 0 {
+			bare, tel = run(false), run(true)
+		} else {
+			tel, bare = run(true), run(false)
+		}
+		ratios = append(ratios, tel/bare)
+	}
+	sort.Float64s(ratios)
+	median := (ratios[pairs/2-1] + ratios[pairs/2]) / 2
+	t.Logf("telemetry/bare soak throughput over %d pairs: median %.1f%%, range %.1f%%..%.1f%%",
+		pairs, 100*median, 100*ratios[0], 100*ratios[pairs-1])
+	if median < 0.95 {
+		t.Errorf("telemetry run reached a median %.1f%% of the bare throughput, more than 5%% below it", 100*median)
 	}
 }
 

@@ -137,8 +137,12 @@ echo "== serve smoke =="
 # for CI to upload as an artifact. The throughput record goes to a
 # scratch path so this small run cannot clobber the gated
 # BENCH_throughput.json written by the sharded-soak section above.
+# Every latency is a quantile sketch, so the scrape must carry the goerli
+# inclusion-latency p99 as a summary line and no fixed-bucket `_bucket{`
+# line at all.
 serve_addr="127.0.0.1:19464"
 smoke_bench="$(mktemp)"
+p99_line='eth_inclusion_latency_seconds{chain="goerli",quantile="0.99"}'
 go run ./cmd/polbench -soak -areas 4 -soakusers 16 -soakrounds 10 \
     -serve "$serve_addr" -servehold 60s -healthout HEALTH_report.json \
     -benchout "$smoke_bench" > /dev/null &
@@ -146,8 +150,8 @@ serve_pid=$!
 metrics=""
 tries=0
 while [ $tries -lt 150 ]; do
-    if metrics="$(curl -fsS "http://$serve_addr/metrics" 2>/dev/null)" && [ -n "$metrics" ]; then
-        break
+    if metrics="$(curl -fsS "http://$serve_addr/metrics" 2>/dev/null)"; then
+        case "$metrics" in *"$p99_line "*) break ;; esac
     fi
     tries=$((tries + 1))
     sleep 0.2
@@ -157,6 +161,22 @@ if [ -z "$metrics" ]; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+case "$metrics" in
+*"$p99_line "*) ;;
+*)
+    echo "serve smoke: /metrics has no $p99_line line" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+    ;;
+esac
+case "$metrics" in
+*'_bucket{'*)
+    echo "serve smoke: /metrics exposes a fixed-bucket histogram:" >&2
+    printf '%s\n' "$metrics" | grep -F '_bucket{' | head -3 >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+    ;;
+esac
 health="$(curl -fsS "http://$serve_addr/health")"
 if [ -z "$health" ]; then
     echo "serve smoke: /health answered empty" >&2
